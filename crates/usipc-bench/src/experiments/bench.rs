@@ -80,7 +80,7 @@ struct SampleStats {
 /// previous `round((N-1)·q)` was neither nearest-rank nor interpolated:
 /// for N=4 it put p99 at index 3 by luck but p50 at index 2 instead of
 /// rank 2, a half-rank bias that over-reported small-N medians.)
-fn nearest_rank_us(sorted: &[u64], q: f64) -> f64 {
+pub(super) fn nearest_rank_us(sorted: &[u64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
     let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1e3

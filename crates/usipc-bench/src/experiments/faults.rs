@@ -6,9 +6,11 @@
 //! * **Fault-free overhead** — every protocol's echo barrage twice on
 //!   real threads: once through the infallible classic surface, once
 //!   through `call_deadline` + the resilient heartbeat server. The runs
-//!   are interleaved and each path keeps its min-of-N p50, so the
-//!   difference is the robustness layer's tax, not scheduler noise. CI
-//!   gates it per protocol class (job `faults`): within 5% for the
+//!   are interleaved and each path keeps its min-of-N p50 (exact, from
+//!   the raw round-trip samples, not the log₂ histogram, whose bucket
+//!   edges turn a few percent into 100 %), so the difference is the
+//!   robustness layer's tax, not scheduler noise. CI gates it per
+//!   protocol class (job `faults`): within 5% for the
 //!   pure user-space fast paths (BSS, BSLS), within one log₂ histogram
 //!   bucket plus a sem-ops/RT bound for BSW (its timed-futex cost is
 //!   real but sub-bucket), within two buckets for the regime-bimodal
@@ -72,6 +74,17 @@ fn protocols() -> [(&'static str, WaitStrategy); 5] {
     ]
 }
 
+/// Exact median of one run's raw round-trip samples in µs; infinite (never
+/// the minimum) for an empty set.
+fn p50_us(samples: &[u64]) -> f64 {
+    if samples.is_empty() {
+        return f64::INFINITY;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    super::bench::nearest_rank_us(&sorted, 0.50)
+}
+
 fn measure_overhead(name: &'static str, strategy: WaitStrategy, msgs: u64) -> OverheadRow {
     let mut inf_p50 = f64::INFINITY;
     let mut dl_p50 = f64::INFINITY;
@@ -81,12 +94,12 @@ fn measure_overhead(name: &'static str, strategy: WaitStrategy, msgs: u64) -> Ov
         let a = run_native_experiment(Mechanism::UserLevel(strategy), 1, msgs);
         let b = run_native_deadline_experiment(strategy, 1, msgs, HEARTBEAT, DEADLINE);
         let rt = (msgs + 1) as f64; // echoes + the disconnect
-        let p = a.client_latency.quantile_us(0.50);
+        let p = p50_us(&a.client_samples);
         if p < inf_p50 {
             inf_p50 = p;
             inf_sem = a.server_metrics.add(&a.client_metrics).sem_ops() as f64 / rt;
         }
-        let p = b.client_latency.quantile_us(0.50);
+        let p = p50_us(&b.client_samples);
         if p < dl_p50 {
             dl_p50 = p;
             dl_sem = b.server_metrics.add(&b.client_metrics).sem_ops() as f64 / rt;

@@ -54,7 +54,7 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
             t.cell(8.0, "THR(5,b1)").unwrap_or(f64::NAN),
             t.cell(8.0, "THR(5,b2)").unwrap_or(f64::NAN),
         ),
-        "liveness: FIFO deferred-wake list drained whenever the backlog clears — no starvation (see run_throttled_server docs)"
+        "liveness: FIFO deferred-wake list drained whenever the backlog clears, and the server never sleeps while a wake-up is deferred — no starvation (see run_throttled_server docs)"
             .into(),
     ];
 

@@ -56,7 +56,8 @@ pub enum ProtoEvent {
     /// A `handoff` system call (or its yield fallback).
     Handoff,
     /// One `busy_wait`/`poll_queue` pacing step (a yield on uniprocessors,
-    /// a ~25 µs spin on multiprocessors).
+    /// a spin step on multiprocessors: the modelled 25 µs delay in the
+    /// simulator, a short `spin_loop` burst natively).
     SpinIteration,
     /// A queue-full back-off (`sleep(1)` in the paper).
     QueueFullBackoff,

@@ -62,11 +62,14 @@ pub trait OsServices {
 
     /// The `busy_wait()` of Figs. 1/7: a yield on a uniprocessor, a short
     /// spin delay on a multiprocessor (§2.1: "On uniprocessors `busy_wait`
-    /// should be implemented as a `yield()` system call").
+    /// should be implemented as a `yield()` system call"). Callers re-check
+    /// the word they wait on after every call, so a backend may make the
+    /// multiprocessor step as short as it likes.
     fn busy_wait(&self);
 
-    /// One pacing step of the BSLS `poll_queue` loop (§5: a 25 µs busy-wait
-    /// on the multiprocessor; a yield on uniprocessors).
+    /// One pacing step of the BSLS `poll_queue` loop: a yield on
+    /// uniprocessors, a spin step on a multiprocessor (the simulator models
+    /// the paper's §5 25 µs delay; the native backend spins one short step).
     fn poll_pause(&self);
 
     /// Counting-semaphore down on the conventional semaphore index.

@@ -1,8 +1,10 @@
 //! **Both Sides Limited Spin** (Fig. 9): poll before blocking.
 //!
 //! Both sides poll the queue up to `MAX_SPIN` times (`poll_queue`: a yield
-//! on uniprocessors, a 25 µs busy-wait with an `empty` check per iteration
-//! on the multiprocessor, §5) and only then enter the BSW blocking path.
+//! on uniprocessors, a spin step with an `empty` check per iteration on the
+//! multiprocessor — the paper's §5 uses 25 µs, which the simulator models;
+//! natively the step is far shorter) and only then enter the BSW blocking
+//! path.
 //! Fig. 10 shows the uniprocessor sensitivity to `MAX_SPIN` — at 20, a
 //! single client blocks only 3 % of the time — and Fig. 11 shows the
 //! multiprocessor cliff: once one client out-spins its budget, waking it

@@ -28,7 +28,7 @@ use crate::channel::{Channel, ChannelConfig};
 use crate::msg::Message;
 use crate::platform::OsServices;
 use crate::protocol::WaitStrategy;
-use crate::server::run_echo_server;
+use crate::server::{run_echo_server, run_throttled_server};
 use crate::simulated::{SimCosts, SimIds, SimOs};
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -318,6 +318,36 @@ pub fn echo_scenario(
     n_clients: u32,
     msgs: u32,
 ) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    echo_world(strategy, n_clients, msgs, move |ch, os| {
+        run_echo_server(ch, os, strategy);
+    })
+}
+
+/// [`echo_scenario`] with the §5 overload-aware server
+/// ([`run_throttled_server`]) behind BSLS(`max_spin`) clients: every call
+/// must be answered even though reply wake-ups are deferred. A schedule in
+/// which the server sleeps while a client still waits for a deferred
+/// wake-up shows up as an unanswered call.
+pub fn throttled_scenario(
+    max_spin: u32,
+    wake_batch: usize,
+    n_clients: u32,
+    msgs: u32,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    let strategy = WaitStrategy::Bsls { max_spin };
+    echo_world(strategy, n_clients, msgs, move |ch, os| {
+        run_throttled_server(ch, os, max_spin, wake_batch);
+    })
+}
+
+/// One `server` task and `n_clients` synchronous `strategy` clients, each
+/// making `msgs` echo calls, then disconnecting; the check counts answers.
+fn echo_world(
+    strategy: WaitStrategy,
+    n_clients: u32,
+    msgs: u32,
+    server: impl Fn(&Channel, &SimOs) + Clone + Send + 'static,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
     move |b: &mut SimBuilder| {
         let mut ids = SimIds::default();
         for _ in 0..=n_clients {
@@ -329,10 +359,10 @@ pub fn echo_scenario(
         let total = u64::from(n_clients * msgs);
         let answered = Arc::new(AtomicU64::new(0));
 
-        let (ch, ids2) = (channel.clone(), Arc::clone(&ids));
+        let (ch, ids2, server) = (channel.clone(), Arc::clone(&ids), server.clone());
         b.spawn("server", move |sys| {
             let os = SimOs::new(sys, ids2, costs, false, 0);
-            run_echo_server(&ch, &os, strategy);
+            server(&ch, &os);
         });
         for c in 0..n_clients {
             let (ch, ids2, count) = (channel.clone(), Arc::clone(&ids), Arc::clone(&answered));

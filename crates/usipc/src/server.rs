@@ -282,8 +282,11 @@ pub fn run_echo_server<O: OsServices>(ch: &Channel, os: &O, strategy: WaitStrate
 /// drains it as soon as the backlog clears (which it must, since no new
 /// clients are being woken), and the BSW-family wait loop tolerates late
 /// or unnecessary wake-ups by construction — the `tas`-guarded `P`
-/// absorbs stray credits. The Fig. 11 ablation (`figures throttle`) shows
-/// this removes the BSLS cliff entirely.
+/// absorbs stray credits. The server only polls while the list is
+/// non-empty and never blocks on it: a client owed a deferred wake-up may
+/// be asleep, and then nothing else would wake the server. The Fig. 11
+/// ablation (`figures throttle`) shows this removes the BSLS cliff
+/// entirely.
 pub fn run_throttled_server<O: OsServices>(
     ch: &Channel,
     os: &O,
@@ -319,7 +322,17 @@ pub fn run_throttled_server<O: OsServices>(
         if live == 0 {
             continue;
         }
-        let m = bsls::receive(ch, os, max_spin);
+        // Never sleep on a deferred wake-up: a client whose wake is still
+        // pending may be asleep, and nobody else would wake the server.
+        // Until the list is drained, only poll the receive queue.
+        let m = if pending_wakes.is_empty() {
+            bsls::receive(ch, os, max_spin)
+        } else {
+            match ch.receive_queue().try_dequeue(os) {
+                Some(m) => m,
+                None => continue,
+            }
+        };
         if m.channel >= ch.n_clients() {
             os.record(ProtoEvent::MalformedRequest);
             run.malformed += 1;

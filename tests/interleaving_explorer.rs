@@ -20,7 +20,8 @@
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, ConsumerKind, Fig4Scenario, Interleaving, ProducerKind, ALL_INTERLEAVINGS,
+    echo_scenario, throttled_scenario, ConsumerKind, Fig4Scenario, Interleaving, ProducerKind,
+    ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{Explorer, Outcome, ScenarioCheck, SimBuilder};
@@ -243,4 +244,37 @@ fn random_walks_deep_schedules_stay_clean_and_deterministic() {
     let b = run();
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.distinct_states, b.distinct_states, "seed-deterministic");
+}
+
+/// A schedule of `throttled_scenario(2, 1, 3, 2)` in which the §5
+/// throttled server used to go to sleep in its BSLS receive while a reply
+/// wake-up was still on its deferred list (a stale entry for a client that
+/// had collected its reply by polling used up the one drain slot). The
+/// client owed that wake-up slept too, so server and client both blocked
+/// on `P`. Found by `Explorer::random(80, 7, 200)`.
+const THROTTLED_DEFERRED_WAKE_HANG: &str = "1.3.1.2.1.2.1.2.1.0.0.1.3.3.0.3.2.0.0.3.1.1.2.3.0.1.2.\
+    3.1.3.1.1.0.1.2.2.1.0.0.0.2.2.3.0.3.2.2.3.2.3.1.0.3.2.3.1.0.3.2.0.0.2.3.1.1.2.0.0.1.2.0.0.1.\
+    1.0.2.0.0.1";
+
+/// The recorded hang now runs to completion.
+#[test]
+fn throttled_server_deferred_wake_hang_replays_clean() {
+    let decisions = usipc_sim::parse_decisions(THROTTLED_DEFERRED_WAKE_HANG).expect("printable");
+    let (sim, verdict) = Explorer::dfs(0).replay(&decisions, throttled_scenario(2, 1, 3, 2));
+    assert!(
+        verdict.is_ok() && matches!(sim.outcome, Outcome::Completed),
+        "replay: {:?} / {:?}",
+        sim.outcome,
+        verdict
+    );
+}
+
+/// Seeded random walks over the throttled server: before the fix about a
+/// third of these schedules deadlocked.
+#[test]
+fn throttled_server_never_sleeps_on_a_deferred_wake() {
+    for seed in [0, 7] {
+        let r = Explorer::random(200, seed, 150).run(throttled_scenario(2, 1, 3, 2));
+        assert!(r.ok(), "seed {seed}: {}", r.summary());
+    }
 }

@@ -57,6 +57,34 @@ fn bss_never_enters_the_kernel() {
 }
 
 #[test]
+fn bss_never_enters_the_kernel_native() {
+    // The same budget on real threads. On two or more cores `busy_wait`
+    // spins a short step rather than yielding; either way BSS has no
+    // semaphore to call.
+    let ch = usipc::Channel::create(&usipc::ChannelConfig::new(1)).unwrap();
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+
+    let server_ch = ch.clone();
+    let server_os = os.task(0);
+    let server = std::thread::spawn(move || {
+        usipc::run_echo_server(&server_ch, &server_os, WaitStrategy::Bss)
+    });
+    let client_os = os.task(1);
+    let client = ch.client(&client_os, 0, WaitStrategy::Bss);
+    for i in 0..MSGS {
+        assert_eq!(client.echo(i as f64), i as f64);
+    }
+    client.disconnect();
+    assert_eq!(server.join().unwrap().processed, MSGS + 1);
+
+    let total = os.metrics().unwrap().aggregate(|_| true);
+    assert_eq!(total.sem_p, 0, "BSS never calls P");
+    assert_eq!(total.sem_v, 0, "BSS never calls V");
+    assert_eq!(total.blocks_entered, 0, "BSS never commits to sleep");
+    assert_eq!(total.sem_kernel_waits + total.sem_kernel_wakes, 0);
+}
+
+#[test]
 fn message_flow_counters_are_conserved() {
     let r = sim_run(WaitStrategy::Bsw);
     let round_trips = MSGS + 1;
