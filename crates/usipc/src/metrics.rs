@@ -57,7 +57,7 @@ pub enum ProtoEvent {
     Handoff,
     /// One `busy_wait`/`poll_queue` pacing step (a yield on uniprocessors,
     /// a spin step on multiprocessors: the modelled 25 µs delay in the
-    /// simulator, a short `spin_loop` burst natively).
+    /// simulator, natively a yield, then a spin to the task's next 3 µs clock boundary).
     SpinIteration,
     /// A queue-full back-off (`sleep(1)` in the paper).
     QueueFullBackoff,

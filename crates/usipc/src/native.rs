@@ -78,8 +78,9 @@ pub struct NativeConfig {
     pub n_msgqs: usize,
     /// Capacity of each kernel message queue.
     pub msgq_capacity: usize,
-    /// `true` on a multiprocessor: `busy_wait` spins one short step instead
-    /// of yielding (§2.1/§5). [`NativeOs::new`] clamps this against
+    /// `true` on a multiprocessor: `busy_wait` yields and then spins one
+    /// short clock-aligned step, instead of only yielding (§2.1/§5).
+    /// [`NativeOs::new`] clamps this against
     /// [`std::thread::available_parallelism`]: when the host has fewer
     /// cores than runnable tasks, spinning only starves the peer being
     /// waited on, so `busy_wait` degrades to `yield_now` regardless.
@@ -337,11 +338,27 @@ fn host_nanos() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// `spin_loop` hints per multiprocessor `busy_wait` step: ~0.4 µs on a
-/// 2-vCPU Xeon VM (the paper's 25 µs lives in the simulator's `poll_delay`).
-/// There 16 and 32 gave the same BSLS echo p50 and 64 a slower one; 32 keeps
-/// the longer `MAX_SPIN` budget before blocking.
-const SPIN_STEP: u32 = 32;
+/// Length of one multiprocessor `busy_wait` step (the paper's 25 µs lives
+/// in the simulator's `poll_delay`). A step ends on the task's next step
+/// boundary on the shared [`host_nanos`] axis, not a fixed time after it
+/// began. Swept with a 1:1 BSLS echo on a 2-vCPU Xeon VM: 3 µs gives a p50
+/// of 2.9 µs with calls/s steady to ~1 % from run to run. At 2 µs the half
+/// step is too short for a dequeue, echo and enqueue, so some round trips
+/// take two steps and calls/s spreads 15 %. Steps timed from their own start
+/// spread ~5 %, because a round trip then depends on the phase between the
+/// two spinners.
+const SPIN_STEP_NS: u64 = 3_000;
+
+/// `spin_loop` hints between clock reads inside a step (~50 ns there), so a
+/// step overshoots its boundary by far less than a round trip's work.
+const STEP_BATCH: u32 = 4;
+
+/// End of the step `task` starts at `now`: its next boundary. Even tasks
+/// step on multiples of [`SPIN_STEP_NS`], odd tasks half a step later.
+fn step_end(task: u32, now: u64) -> u64 {
+    let phase = u64::from(task % 2) * (SPIN_STEP_NS / 2);
+    now + SPIN_STEP_NS - (now + SPIN_STEP_NS - phase) % SPIN_STEP_NS
+}
 
 /// One thread's handle onto [`NativeOs`].
 #[derive(Debug, Clone)]
@@ -362,11 +379,24 @@ impl OsServices for NativeTask {
     fn busy_wait(&self) {
         self.record(ProtoEvent::SpinIteration);
         if self.os.multiprocessor {
-            // One short step, no clock read: every caller re-checks the word
-            // it waits on after each step, so the wait ends within a step
-            // of the peer's write.
-            for _ in 0..SPIN_STEP {
-                core::hint::spin_loop();
+            // Offer the CPU first: a thread queued behind this one (often the
+            // peer being waited on, such as a server thread just spawned onto
+            // its client's CPU) runs now rather than after the whole spin
+            // budget. With nothing else runnable the yield returns at once,
+            // and the step ends on its clock boundary either way.
+            std::thread::yield_now();
+            // Spin to this task's next step boundary; every caller re-checks
+            // the word it waits on after each step. With the `for_clients`
+            // numbering (server 0, clients from 1) a 1:1 pair polls in
+            // antiphase: each side looks half a step after the other's
+            // write. A round trip is then one step, however fast the cores
+            // spin or wherever the host placed the threads, and a single
+            // pre-block step (BSWY) outlasts the peer's turnaround.
+            let end = step_end(self.task_id, host_nanos());
+            while host_nanos() < end {
+                for _ in 0..STEP_BATCH {
+                    core::hint::spin_loop();
+                }
             }
         } else {
             std::thread::yield_now();
@@ -493,6 +523,18 @@ impl OsServices for NativeTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn steps_end_on_the_task_parity_boundary() {
+        const H: u64 = SPIN_STEP_NS / 2;
+        assert_eq!(step_end(0, 0), SPIN_STEP_NS);
+        assert_eq!(step_end(0, 1), SPIN_STEP_NS);
+        assert_eq!(step_end(2, SPIN_STEP_NS - 1), SPIN_STEP_NS);
+        assert_eq!(step_end(1, 0), H);
+        assert_eq!(step_end(1, H - 1), H);
+        assert_eq!(step_end(1, H), H + SPIN_STEP_NS);
+        assert_eq!(step_end(3, 10 * SPIN_STEP_NS), 10 * SPIN_STEP_NS + H);
+    }
 
     #[test]
     fn counting_sem_cross_thread() {

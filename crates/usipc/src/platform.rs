@@ -64,12 +64,13 @@ pub trait OsServices {
     /// spin delay on a multiprocessor (§2.1: "On uniprocessors `busy_wait`
     /// should be implemented as a `yield()` system call"). Callers re-check
     /// the word they wait on after every call, so a backend may make the
-    /// multiprocessor step as short as it likes.
+    /// multiprocessor step as short as a round trip's work allows.
     fn busy_wait(&self);
 
     /// One pacing step of the BSLS `poll_queue` loop: a yield on
     /// uniprocessors, a spin step on a multiprocessor (the simulator models
-    /// the paper's §5 25 µs delay; the native backend spins one short step).
+    /// the paper's §5 25 µs delay; the native backend yields once, then spins to
+    /// the task's next 3 µs boundary on a shared clock).
     fn poll_pause(&self);
 
     /// Counting-semaphore down on the conventional semaphore index.

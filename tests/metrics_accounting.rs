@@ -59,7 +59,7 @@ fn bss_never_enters_the_kernel() {
 #[test]
 fn bss_never_enters_the_kernel_native() {
     // The same budget on real threads. On two or more cores `busy_wait`
-    // spins a short step rather than yielding; either way BSS has no
+    // yields once and spins to a clock boundary; either way BSS has no
     // semaphore to call.
     let ch = usipc::Channel::create(&usipc::ChannelConfig::new(1)).unwrap();
     let os = NativeOs::new(NativeConfig::for_clients(1));
