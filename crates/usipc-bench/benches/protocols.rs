@@ -6,7 +6,7 @@
 //! semaphores. Absolute numbers are host-specific; the interesting output
 //! is the *ordering* of the strategies and the SysV-style baseline.
 
-use usipc::harness::{run_native_experiment, Mechanism};
+use usipc::harness::{run_thread_echo, Mechanism, ThreadEcho};
 use usipc::WaitStrategy;
 use usipc_bench::minibench::Minibench;
 
@@ -29,7 +29,7 @@ fn roundtrips(mb: &mut Minibench) {
     ];
     for (name, mech) in cases {
         g.bench_function(name, || {
-            run_native_experiment(mech, 1, MSGS);
+            run_thread_echo(&ThreadEcho::new(mech, 1, MSGS));
         });
     }
 }
@@ -47,7 +47,7 @@ fn multi_client(mb: &mut Minibench) {
         ("SysV", Mechanism::SysV),
     ] {
         g.bench_function(name, || {
-            run_native_experiment(mech, 4, MSGS / 4);
+            run_thread_echo(&ThreadEcho::new(mech, 4, MSGS / 4));
         });
     }
 }

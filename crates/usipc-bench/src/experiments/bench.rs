@@ -27,10 +27,7 @@ use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
 use std::path::PathBuf;
 use std::time::Duration;
-use usipc::harness::{
-    run_native_experiment_with_queue, run_waitset_load_experiment, Mechanism,
-    NativeExperimentResult,
-};
+use usipc::harness::{run_thread_echo, run_waitset_load_experiment, Mechanism, ThreadEcho};
 use usipc::{QueueKind, WaitStrategy};
 
 /// `MAX_SPIN` for the BSLS run (the paper's §4.2 sweet spot is workload
@@ -124,12 +121,10 @@ fn measure(
     msgs_per_client: u64,
     queue_kind: QueueKind,
 ) -> Option<ProtocolBaseline> {
-    let run: NativeExperimentResult = run_native_experiment_with_queue(
-        Mechanism::UserLevel(strategy),
-        clients,
-        msgs_per_client,
+    let run = run_thread_echo(&ThreadEcho {
         queue_kind,
-    );
+        ..ThreadEcho::new(Mechanism::UserLevel(strategy), clients, msgs_per_client)
+    });
     // Each client's disconnect is a full round trip too (metrics include
     // it; the raw samples cover only the echoes), so divide by both.
     let rt = run.messages + clients as u64;
@@ -166,11 +161,11 @@ fn measure(
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 fn measure_procs_all(clients: usize, msgs_per_client: u64) -> Vec<ProtocolBaseline> {
-    use usipc::harness::run_proc_experiment;
+    use usipc::harness::{run_proc_echo, ProcEcho};
     protocols()
         .iter()
         .filter_map(|&(name, strategy)| {
-            let run = run_proc_experiment(strategy, clients, msgs_per_client);
+            let run = run_proc_echo(&ProcEcho::new(strategy, clients, msgs_per_client));
             let rt = run.messages + clients as u64;
             let totals = run.server_metrics.add(&run.client_metrics);
             let per_rt = |v: u64| v as f64 / rt as f64;

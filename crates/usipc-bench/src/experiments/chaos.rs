@@ -198,7 +198,7 @@ mod imp {
         let sites = [0, msgs / 4, (3 * msgs) / 2];
         for (queue, kind) in [("two_lock", QueueKind::TwoLock), ("ring", QueueKind::Ring)] {
             for &site in &sites {
-                let run = run_proc_takeover_experiment(strategy, 3, msgs, site, kind);
+                let run = run_proc_takeover_experiment(strategy, 3, msgs, site, kind, None);
                 let retries: u64 = run.drop_retries.iter().sum();
                 rows.push(row_from_takeover(
                     "takeover",

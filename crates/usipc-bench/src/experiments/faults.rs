@@ -32,10 +32,7 @@ use crate::table::Table;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use usipc::harness::{
-    run_native_deadline_experiment, run_native_experiment, run_native_fault_experiment_traced,
-    Mechanism,
-};
+use usipc::harness::{run_thread_echo, CallPath, ClientFaultOutcome, Mechanism, ThreadEcho};
 use usipc::scenarios::{FaultScenario, PeerDeathScenario};
 use usipc::{FaultPlan, WaitStrategy};
 use usipc_sim::Explorer;
@@ -91,8 +88,23 @@ fn measure_overhead(name: &'static str, strategy: WaitStrategy, msgs: u64) -> Ov
     let mut inf_sem = 0.0;
     let mut dl_sem = 0.0;
     for _ in 0..REPS {
-        let a = run_native_experiment(Mechanism::UserLevel(strategy), 1, msgs);
-        let b = run_native_deadline_experiment(strategy, 1, msgs, HEARTBEAT, DEADLINE);
+        let infallible = ThreadEcho::new(Mechanism::UserLevel(strategy), 1, msgs);
+        let a = run_thread_echo(&infallible);
+        let b = run_thread_echo(&ThreadEcho {
+            call_path: CallPath::Deadline {
+                heartbeat: HEARTBEAT,
+                deadline: DEADLINE,
+                faults: None,
+            },
+            ..infallible
+        });
+        assert!(
+            b.clients
+                .iter()
+                .all(|c| *c == ClientFaultOutcome::Completed),
+            "{name}: fault-free deadline run failed: {:?}",
+            b.clients
+        );
         let rt = (msgs + 1) as f64; // echoes + the disconnect
         let p = p50_us(&a.client_samples);
         if p < inf_p50 {
@@ -334,16 +346,15 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
     // One worked fault, recorded: the server killed between dequeue and
     // reply under tracing, so the kill → detection → poison → PeerDead
     // sequence is inspectable in Perfetto (EXPERIMENTS.md walks it).
-    let plan = Arc::new(FaultPlan::kill(0, 1));
-    let ft = run_native_fault_experiment_traced(
-        WaitStrategy::Bsw,
-        1,
-        4,
-        plan,
-        Duration::from_millis(30),
-        Duration::from_millis(500),
-        Some(16 * 1024),
-    );
+    let ft = run_thread_echo(&ThreadEcho {
+        trace_capacity: Some(16 * 1024),
+        call_path: CallPath::Deadline {
+            heartbeat: Duration::from_millis(30),
+            deadline: Duration::from_millis(500),
+            faults: Some(Arc::new(FaultPlan::kill(0, 1))),
+        },
+        ..ThreadEcho::new(Mechanism::UserLevel(WaitStrategy::Bsw), 1, 4)
+    });
     let tpath = dir.join("trace_fault_peerdeath.trace.json");
     match ft
         .trace

@@ -18,7 +18,7 @@
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
 use std::path::Path;
-use usipc::harness::{run_native_experiment_traced, run_sim_experiment, Mechanism, SimExperiment};
+use usipc::harness::{run_sim_experiment, run_thread_echo, Mechanism, SimExperiment, ThreadEcho};
 use usipc::trace::UnifiedTrace;
 use usipc::WaitStrategy;
 use usipc_sim::{MachineModel, PolicyKind};
@@ -107,7 +107,10 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
         let sim_trace = sim.trace.expect("tracing was enabled");
         let (sr, sd) = export(&dir, name, "sim", &sim_trace, &mut notes);
 
-        let native = run_native_experiment_traced(mech, 1, msgs, Some(RING_CAPACITY));
+        let native = run_thread_echo(&ThreadEcho {
+            trace_capacity: Some(RING_CAPACITY),
+            ..ThreadEcho::new(mech, 1, msgs)
+        });
         let native_trace = native.trace.expect("tracing was enabled");
         let (nr, nd) = export(&dir, name, "native", &native_trace, &mut notes);
 

@@ -59,6 +59,10 @@ pub struct FaultHeader {
     /// across a deadline period can bound detection latency even when
     /// death was never marked explicitly.
     heartbeat: AtomicU32,
+    /// Set once a resilient server took the consumer's DISCONNECT: the
+    /// session is over, and a successor incarnation must not wait for a
+    /// goodbye that was already said. Survives fsck.
+    departed: AtomicU32,
 }
 
 unsafe impl ShmSafe for WaitableQueue {}
@@ -85,6 +89,7 @@ impl WaitableQueue {
                 poison: AtomicU32::new(0),
                 consumer_live: AtomicU32::new(1),
                 heartbeat: AtomicU32::new(0),
+                departed: AtomicU32::new(0),
             }),
         })
     }
@@ -730,6 +735,16 @@ impl QueueRef<'_> {
         self.wq.fault.heartbeat.load(Ordering::Acquire)
     }
 
+    /// Records that the consumer's session ended with a DISCONNECT.
+    pub(crate) fn mark_departed(&self) {
+        self.wq.fault.departed.store(1, Ordering::Release);
+    }
+
+    /// Whether some server incarnation took this consumer's DISCONNECT.
+    pub(crate) fn departed(&self) -> bool {
+        self.wq.fault.departed.load(Ordering::Acquire) != 0
+    }
+
     // --- recovery hooks ([`recover`](crate::recover)) ---------------------
     //
     // Everything below runs only under fsck's quiescence contract: the dead
@@ -811,7 +826,7 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     /// the endpoint's wait strategy.
     ///
     /// When the backend collects metrics, each call feeds the endpoint's
-    /// round-trip latency histogram (host time on native, virtual time on
+    /// round-trip latency sketch (host time on native, virtual time on
     /// the simulator).
     pub fn call(&self, mut msg: Message) -> Message {
         msg.channel = self.id;

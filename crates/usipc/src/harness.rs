@@ -6,18 +6,21 @@
 //! many thousands of message requests"; the throughput is messages over the
 //! real elapsed time from the first request to the last disconnect. This
 //! module packages that workload for the simulator
-//! ([`run_sim_experiment`]) and for real threads
-//! ([`run_native_experiment`]).
+//! ([`run_sim_experiment`]), for real threads ([`run_thread_echo`]) and,
+//! on Linux, for forked processes over a shared segment (`run_proc_echo`
+//! and the crash drills beside it).
 
 use crate::channel::{Channel, ChannelConfig};
-use crate::metrics::{LatencySnapshot, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::platform::OsServices;
 use crate::protocol::WaitStrategy;
 use crate::simulated::{SimCosts, SimIds, SimOs};
 use crate::sysv::{sysv_disconnect, sysv_echo};
+use crate::telemetry::SketchSnapshot;
 use crate::trace::{TraceRegistry, UnifiedTrace};
 use crate::{NativeConfig, NativeOs};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use usipc_queue::QueueKind;
 use usipc_sim::{MachineModel, PolicyKind, SimBuilder, SimReport, VDur};
 
@@ -153,10 +156,10 @@ pub struct SimExperimentResult {
     pub server_metrics: MetricsSnapshot,
     /// Protocol events summed over every client task.
     pub client_metrics: MetricsSnapshot,
-    /// Round-trip latency histogram merged over every client task
+    /// Round-trip latency sketch merged over every client task
     /// (virtual-time samples; empty for the SysV baseline, which bypasses
     /// the channel layer).
-    pub client_latency: LatencySnapshot,
+    pub client_latency: SketchSnapshot,
     /// The unified event trace (protocol events + bridged scheduler
     /// timeline), present when the experiment enabled tracing.
     pub trace: Option<UnifiedTrace>,
@@ -644,193 +647,363 @@ pub fn run_mixed_sim_experiment(
     }
 }
 
-/// Results of one native (real-thread) experiment.
+/// How the clients of a [`ThreadEcho`] call and its server serves.
 #[derive(Debug, Clone)]
-pub struct NativeExperimentResult {
-    /// Wall-clock duration of the barrage.
-    pub elapsed: std::time::Duration,
-    /// ECHO messages processed.
+pub enum CallPath {
+    /// Infallible calls against the mechanism's classic server loop — the
+    /// paper's workload.
+    Infallible,
+    /// Every call goes through
+    /// [`call_deadline`](crate::ClientEndpoint::call_deadline) and the
+    /// server runs [`run_resilient_server`](crate::run_resilient_server).
+    /// Without a fault plan nothing faults, so any latency difference
+    /// against [`CallPath::Infallible`] *is* the robustness overhead — the
+    /// number the `figures faults` experiment regresses on.
+    Deadline {
+        /// The resilient server's liveness-scan period.
+        heartbeat: Duration,
+        /// Bound on every client call.
+        deadline: Duration,
+        /// Kills (or delays) one task mid-protocol: the plan's victim `0`
+        /// is the server, `1 + c` client `c`. A kill is a panic that
+        /// unwinds the victim through its
+        /// [`DeathWatch`](crate::DeathWatch), which tombstones the queue
+        /// it consumes; the result reports what the failure model did.
+        faults: Option<Arc<crate::FaultPlan>>,
+    },
+}
+
+/// One echo run on real threads (the adoptable backend): `clients` client
+/// threads barrage one server thread, task `0`; client `c` is task `1 + c`.
+#[derive(Debug, Clone)]
+pub struct ThreadEcho {
+    /// IPC mechanism under test. [`CallPath::Deadline`] needs
+    /// [`Mechanism::UserLevel`].
+    pub mechanism: Mechanism,
+    /// Number of client threads.
+    pub clients: usize,
+    /// Echo round trips per client (before the disconnect).
+    pub msgs_per_client: u64,
+    /// Channel queue representation ([`QueueKind::Ring`] for the wait-free
+    /// arena rings, [`QueueKind::TwoLock`] for the pooled linked queue).
+    /// The protocol layer is untouched — this is how the bench matrix
+    /// isolates the queue swap's cost.
+    pub queue_kind: QueueKind,
+    /// Per-task trace ring capacity (host-time stamps, oldest dropped on
+    /// overflow); `None` disables tracing.
+    pub trace_capacity: Option<usize>,
+    /// Infallible or deadline-bounded calls.
+    pub call_path: CallPath,
+}
+
+impl ThreadEcho {
+    /// The infallible, untraced run on the default queue kind.
+    pub fn new(mechanism: Mechanism, clients: usize, msgs_per_client: u64) -> Self {
+        ThreadEcho {
+            mechanism,
+            clients,
+            msgs_per_client,
+            queue_kind: QueueKind::default(),
+            trace_capacity: None,
+            call_path: CallPath::Infallible,
+        }
+    }
+}
+
+/// Outcome of one client thread.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClientFaultOutcome {
+    /// Completed every echo and disconnected cleanly.
+    Completed,
+    /// The failure model surfaced: the client stopped after `completed`
+    /// echoes with `error` (e.g. [`IpcError::PeerDead`](crate::IpcError::PeerDead)
+    /// once the killed server was detected).
+    Failed {
+        /// Echo round trips that succeeded before the error.
+        completed: u64,
+        /// The error that ended the session.
+        error: crate::IpcError,
+    },
+    /// This client was the fault plan's victim and was killed.
+    Killed,
+}
+
+/// Results of one [`run_thread_echo`] run.
+#[derive(Debug, Clone)]
+pub struct ThreadEchoResult {
+    /// The barrage: first client's barrier release → last client's own
+    /// completion (after its disconnect).
+    pub elapsed: Duration,
+    /// ECHO messages requested (disconnects excluded).
     pub messages: u64,
     /// Throughput in messages per millisecond.
     pub throughput: f64,
+    /// Server outcome: `Ok` when its loop returned, `Err` with the panic
+    /// message when it was the fault plan's victim.
+    pub server: Result<crate::ServerRun, String>,
     /// Protocol events recorded by the server thread.
     pub server_metrics: MetricsSnapshot,
     /// Protocol events summed over every client thread.
     pub client_metrics: MetricsSnapshot,
-    /// Round-trip latency histogram merged over every client thread
-    /// (host-time samples; empty for the SysV baseline).
-    pub client_latency: LatencySnapshot,
-    /// Raw per-message round-trip samples in nanoseconds, merged over
-    /// every client thread (unordered across clients). The histogram above
-    /// quantizes into log₂ buckets — good enough for means, but a p50 read
-    /// from it is only within √2× of the truth; exact quantiles need the
-    /// raw samples.
+    /// Per-client outcome, indexed by client id.
+    pub clients: Vec<ClientFaultOutcome>,
+    /// Raw per-message round-trip samples in nanoseconds, in (client,
+    /// message) order.
     pub client_samples: Vec<u64>,
-    /// The unified event trace, present when the run enabled tracing.
+    /// Whether each client's reply queue ended poisoned.
+    pub reply_poisoned: Vec<bool>,
+    /// Whether the shared receive queue ended poisoned.
+    pub receive_poisoned: bool,
+    /// The unified event trace, present when the run enabled tracing —
+    /// under a fault plan, the timeline of the injected kill, the
+    /// survivor's detection and the poison broadcast.
     pub trace: Option<UnifiedTrace>,
 }
 
-/// Runs the echo workload on real threads (the adoptable backend).
+/// What one client thread hands back to its runner.
+struct ClientRun {
+    outcome: ClientFaultOutcome,
+    samples: Vec<u64>,
+    /// Right after the start barrier released this client.
+    started: Option<Instant>,
+    /// Right after its last call returned.
+    finished: Instant,
+}
+
+/// What a harness thread returns: a server's run or a client's.
+enum TaskEnd {
+    Server(Box<Result<crate::ServerRun, String>>),
+    Client(ClientRun),
+}
+
+/// Splits joined tasks into server and client results, each in spawn
+/// order.
+fn split_ends(ends: Vec<TaskEnd>) -> (Vec<Result<crate::ServerRun, String>>, Vec<ClientRun>) {
+    let (mut servers, mut clients) = (Vec::new(), Vec::new());
+    for end in ends {
+        match end {
+            TaskEnd::Server(s) => servers.push(*s),
+            TaskEnd::Client(c) => clients.push(c),
+        }
+    }
+    (servers, clients)
+}
+
+/// The barrage's wall-clock span: first client's barrier release → last
+/// client's own completion. Timed by the clients themselves, so the
+/// watchdog's join poll never enters it.
+fn barrage_span(runs: &[ClientRun]) -> Duration {
+    let start = runs.iter().filter_map(|r| r.started).min();
+    let end = runs.iter().map(|r| r.finished).max();
+    start
+        .zip(end)
+        .map_or(Duration::ZERO, |(s, e)| e.saturating_duration_since(s))
+}
+
+/// Stack of every harness thread: the task loops are shallow, and the
+/// 512-client load cells would otherwise reserve a gigabyte of stacks.
+const TASK_STACK: usize = 512 * 1024;
+
+/// Spawns a named harness thread, packaged for [`watchdog_join`].
+fn spawn_task<T: Send + 'static>(
+    name: String,
+    id: u32,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> (String, u32, std::thread::JoinHandle<T>) {
+    let h = std::thread::Builder::new()
+        .name(name.clone())
+        .stack_size(TASK_STACK)
+        .spawn(f)
+        .expect("spawn harness thread");
+    (name, id, h)
+}
+
+/// Runs `f`; when `catch` (a fault plan may kill this task), a panic
+/// becomes `Err(message)` instead of propagating to the watchdog.
+fn catching<T>(catch: bool, f: impl FnOnce() -> T) -> Result<T, String> {
+    if !catch {
+        return Ok(f());
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
+        p.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "task panicked".into())
+    })
+}
+
+/// Fires the fault plan at one of `task`'s fault points.
+fn inject(plan: Option<&crate::FaultPlan>, task: u32, os: &crate::NativeTask) {
+    use crate::fault::FaultAction;
+    let Some(plan) = plan else { return };
+    match plan.fire(task) {
+        Some(FaultAction::Kill) => {
+            os.record(crate::metrics::ProtoEvent::FaultInjected);
+            panic!("injected fault: task {task} killed at op {}", plan.at_op)
+        }
+        Some(FaultAction::DelayNanos(ns)) => {
+            os.record(crate::metrics::ProtoEvent::FaultInjected);
+            std::thread::sleep(Duration::from_nanos(ns))
+        }
+        Some(FaultAction::DropWakeup) | None => {}
+    }
+}
+
+/// Runs the echo workload on real threads.
+///
+/// The join is bounded by a watchdog (plus `deadline × msgs` on the
+/// deadline path): a protocol bug, or a fault that escapes the failure
+/// model, panics with a report naming each wedged thread instead of
+/// hanging the harness.
 ///
 /// # Panics
 ///
-/// On echo corruption or a poisoned thread.
-pub fn run_native_experiment(
-    mechanism: Mechanism,
-    n_clients: usize,
-    msgs_per_client: u64,
-) -> NativeExperimentResult {
-    run_native_experiment_traced(mechanism, n_clients, msgs_per_client, None)
-}
-
-/// [`run_native_experiment`] with an explicit channel queue
-/// representation ([`QueueKind::Ring`] for the wait-free arena rings,
-/// [`QueueKind::TwoLock`] for the pooled linked queue). The protocol
-/// layer is untouched — this is how the bench matrix isolates the queue
-/// swap's cost.
-///
-/// # Panics
-///
-/// On echo corruption or a poisoned thread.
-pub fn run_native_experiment_with_queue(
-    mechanism: Mechanism,
-    n_clients: usize,
-    msgs_per_client: u64,
-    queue_kind: QueueKind,
-) -> NativeExperimentResult {
-    native_experiment(mechanism, n_clients, msgs_per_client, None, queue_kind)
-}
-
-/// [`run_native_experiment`] with optional event tracing: `trace_capacity`
-/// records are kept per task (host-time stamps, oldest dropped on
-/// overflow) and collected into the result's [`UnifiedTrace`].
-///
-/// # Panics
-///
-/// On echo corruption or a poisoned thread.
-pub fn run_native_experiment_traced(
-    mechanism: Mechanism,
-    n_clients: usize,
-    msgs_per_client: u64,
-    trace_capacity: Option<usize>,
-) -> NativeExperimentResult {
-    native_experiment(
-        mechanism,
-        n_clients,
-        msgs_per_client,
-        trace_capacity,
-        QueueKind::default(),
-    )
-}
-
-fn native_experiment(
-    mechanism: Mechanism,
-    n_clients: usize,
-    msgs_per_client: u64,
-    trace_capacity: Option<usize>,
-    queue_kind: QueueKind,
-) -> NativeExperimentResult {
-    let channel = Channel::create(&ChannelConfig::new(n_clients).with_queue_kind(queue_kind))
-        .expect("channel creation");
-    let mut cfg = NativeConfig::for_clients(n_clients);
-    cfg.trace_capacity = trace_capacity;
-    let os = NativeOs::new(cfg);
-    let barrier = Arc::new(std::sync::Barrier::new(n_clients + 1));
-    let samples: Arc<std::sync::Mutex<Vec<u64>>> = Arc::new(std::sync::Mutex::new(
-        Vec::with_capacity(n_clients * msgs_per_client as usize),
-    ));
-
-    let server = {
-        let ch = channel.clone();
-        let os = os.task(0);
-        std::thread::spawn(move || match mechanism {
-            Mechanism::UserLevel(strategy) => {
-                let _ = crate::server::run_echo_server(&ch, &os, strategy);
-            }
-            Mechanism::SysV => {
-                let _ = crate::sysv::run_sysv_echo_server(&os, n_clients as u32);
-            }
-            Mechanism::Throttled {
-                max_spin,
-                wake_batch,
-            } => {
-                let _ = crate::server::run_throttled_server(&ch, &os, max_spin, wake_batch);
-            }
-        })
+/// On a wedged thread, or [`CallPath::Deadline`] with a non-user-level
+/// mechanism; without a fault plan also on echo corruption or any
+/// panicking thread (with one, a panic is that task's death).
+pub fn run_thread_echo(spec: &ThreadEcho) -> ThreadEchoResult {
+    use crate::fault::{DeathWatch, ServerDeathWatch};
+    use crate::Message;
+    let n = spec.clients;
+    let msgs = spec.msgs_per_client;
+    let (heartbeat, deadline, faults) = match &spec.call_path {
+        CallPath::Infallible => (None, None, None),
+        CallPath::Deadline {
+            heartbeat,
+            deadline,
+            faults,
+        } => (Some(*heartbeat), Some(*deadline), faults.clone()),
     };
+    // The clients' wait strategy; `None` for the kernel-queue baseline.
+    let strategy = match spec.mechanism {
+        Mechanism::UserLevel(s) => Some(s),
+        Mechanism::Throttled { max_spin, .. } => Some(WaitStrategy::Bsls { max_spin }),
+        Mechanism::SysV => None,
+    };
+    assert!(
+        deadline.is_none() || matches!(spec.mechanism, Mechanism::UserLevel(_)),
+        "the deadline path needs a user-level mechanism"
+    );
+    let catch = faults.is_some();
+    let channel = Channel::create(&ChannelConfig::new(n).with_queue_kind(spec.queue_kind))
+        .expect("channel creation");
+    let mut cfg = NativeConfig::for_clients(n);
+    cfg.trace_capacity = spec.trace_capacity;
+    let os = NativeOs::new(cfg);
+    let barrier = Arc::new(std::sync::Barrier::new(n));
 
-    let clients: Vec<_> = (0..n_clients as u32)
-        .map(|c| {
-            let ch = channel.clone();
-            let os = os.task(1 + c);
-            let barrier = Arc::clone(&barrier);
-            let samples = Arc::clone(&samples);
-            std::thread::spawn(move || {
-                let mut local = Vec::with_capacity(msgs_per_client as usize);
-                barrier.wait();
-                match mechanism {
-                    Mechanism::UserLevel(strategy) => {
-                        let ep = ch.client(&os, c, strategy);
-                        for i in 0..msgs_per_client {
-                            let t0 = std::time::Instant::now();
-                            let v = ep.echo(i as f64);
-                            local.push(t0.elapsed().as_nanos() as u64);
-                            assert_eq!(v, i as f64, "echo corrupted");
-                        }
-                        ep.disconnect();
+    let mut tasks = vec![{
+        let (ch, os, mechanism, faults) =
+            (channel.clone(), os.task(0), spec.mechanism, faults.clone());
+        spawn_task("server".into(), 0, move || {
+            TaskEnd::Server(Box::new(catching(catch, || match mechanism {
+                Mechanism::UserLevel(s) => match heartbeat {
+                    Some(heartbeat) => {
+                        // Tombstone the whole channel if this thread dies:
+                        // every client fails fast instead of riding out
+                        // its deadline.
+                        let _watch = ServerDeathWatch::arm(&ch, &os);
+                        crate::server::run_resilient_server(&ch, &os, s, heartbeat, |m| {
+                            inject(faults.as_deref(), 0, &os);
+                            m
+                        })
                     }
-                    Mechanism::SysV => {
-                        for i in 0..msgs_per_client {
-                            let t0 = std::time::Instant::now();
-                            let v = sysv_echo(&os, c, i as f64);
-                            local.push(t0.elapsed().as_nanos() as u64);
-                            assert_eq!(v, i as f64);
-                        }
-                        sysv_disconnect(&os, c);
-                    }
-                    Mechanism::Throttled { max_spin, .. } => {
-                        let ep = ch.client(&os, c, WaitStrategy::Bsls { max_spin });
-                        for i in 0..msgs_per_client {
-                            let t0 = std::time::Instant::now();
-                            let v = ep.echo(i as f64);
-                            local.push(t0.elapsed().as_nanos() as u64);
-                            assert_eq!(v, i as f64, "echo corrupted");
-                        }
-                        ep.disconnect();
+                    None => crate::server::run_echo_server(&ch, &os, s),
+                },
+                Mechanism::SysV => {
+                    let r = crate::sysv::run_sysv_echo_server(&os, n as u32);
+                    crate::ServerRun {
+                        processed: r.processed,
+                        disconnects: n as u32,
+                        malformed: r.malformed,
+                        ..Default::default()
                     }
                 }
-                samples.lock().unwrap().extend_from_slice(&local);
+                Mechanism::Throttled {
+                    max_spin,
+                    wake_batch,
+                } => crate::server::run_throttled_server(&ch, &os, max_spin, wake_batch),
+            })))
+        })
+    }];
+
+    tasks.extend((0..n as u32).map(|c| {
+        let (ch, os, barrier, faults) = (
+            channel.clone(),
+            os.task(1 + c),
+            Arc::clone(&barrier),
+            faults.clone(),
+        );
+        spawn_task(format!("client{c}"), 1 + c, move || {
+            let mut samples = Vec::with_capacity(msgs as usize);
+            let mut started = None;
+            let outcome = catching(catch, || {
+                let _watch = DeathWatch::arm(ch.reply_queue(c), &os);
+                let ep = strategy.map(|s| ch.client(&os, c, s));
+                let call = |m: Message| match (&ep, deadline) {
+                    (None, _) => Ok(crate::sysv::sysv_call(&os, c, m)),
+                    (Some(ep), None) => Ok(ep.call(m)),
+                    (Some(ep), Some(d)) => ep.call_deadline(m, d),
+                };
+                barrier.wait();
+                started = Some(Instant::now());
+                for i in 0..msgs {
+                    inject(faults.as_deref(), 1 + c, &os);
+                    let t0 = Instant::now();
+                    match call(Message::echo(c, i as f64)) {
+                        Ok(reply) => {
+                            samples.push(t0.elapsed().as_nanos() as u64);
+                            assert_eq!(reply.value, i as f64, "echo corrupted");
+                        }
+                        Err(error) => {
+                            return ClientFaultOutcome::Failed {
+                                completed: i,
+                                error,
+                            }
+                        }
+                    }
+                }
+                match call(Message::disconnect(c)) {
+                    Ok(_) => ClientFaultOutcome::Completed,
+                    Err(error) => ClientFaultOutcome::Failed {
+                        completed: msgs,
+                        error,
+                    },
+                }
+            })
+            .unwrap_or(ClientFaultOutcome::Killed);
+            TaskEnd::Client(ClientRun {
+                outcome,
+                samples,
+                started,
+                finished: Instant::now(),
             })
         })
-        .collect();
+    }));
 
-    barrier.wait();
-    let start = std::time::Instant::now();
-    let mut named = vec![("server".to_string(), 0u32, server)];
-    for (c, h) in clients.into_iter().enumerate() {
-        named.push((format!("client{c}"), 1 + c as u32, h));
-    }
-    watchdog_join(named, WATCHDOG_JOIN, os.traces());
-    let elapsed = start.elapsed();
-    let messages = msgs_per_client * n_clients as u64;
+    let timeout = WATCHDOG_JOIN + deadline.unwrap_or_default() * (msgs as u32).max(1);
+    let (mut servers, runs) = split_ends(watchdog_join(tasks, timeout, os.traces()));
+    let elapsed = barrage_span(&runs);
+    let messages = msgs * n as u64;
     let reg = os.metrics().expect("for_clients enables metrics");
     let trace = os.traces().map(|t| {
         let mut names = vec![(0, "server".to_string())];
-        for c in 0..n_clients as u32 {
-            names.push((1 + c, format!("client{c}")));
-        }
+        names.extend((0..n as u32).map(|c| (1 + c, format!("client{c}"))));
         t.collect(&names)
     });
-    NativeExperimentResult {
+    ThreadEchoResult {
         throughput: messages as f64 / (elapsed.as_secs_f64() * 1e3),
         elapsed,
         messages,
+        server: servers.pop().expect("one server task"),
         server_metrics: reg.task_snapshot(0),
         client_metrics: reg.aggregate(|t| t != 0),
-        client_latency: reg.aggregate_latency(|t| t != 0),
-        client_samples: Arc::try_unwrap(samples)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_default(),
+        clients: runs.iter().map(|r| r.outcome.clone()).collect(),
+        client_samples: runs.into_iter().flat_map(|r| r.samples).collect(),
+        reply_poisoned: (0..n as u32)
+            .map(|c| channel.reply_queue(c).is_poisoned())
+            .collect(),
+        receive_poisoned: channel.receive_queue().is_poisoned(),
         trace,
     }
 }
@@ -840,50 +1013,70 @@ fn native_experiment(
 /// but bounded, so a protocol bug (or an injected fault the failure model
 /// failed to contain) produces a diagnosable panic instead of a hung
 /// process that CI has to `SIGKILL` reportlessly.
-const WATCHDOG_JOIN: std::time::Duration = std::time::Duration::from_secs(30);
+const WATCHDOG_JOIN: Duration = Duration::from_secs(30);
 
-/// Joins experiment threads with a watchdog: waits up to `timeout` for
-/// all of them, propagating any thread's panic verbatim. If some never
-/// finish, panics with a report naming each wedged thread and — when
-/// tracing is enabled — the last trace point it recorded before going
-/// quiet, which is usually enough to identify the lost sleep/wake-up race
-/// without re-running under a debugger.
-fn watchdog_join(
-    named: Vec<(String, u32, std::thread::JoinHandle<()>)>,
-    timeout: std::time::Duration,
+/// A participant [`watchdog_join`] can poll without blocking: a harness
+/// thread, or a forked child of the cross-process runs.
+trait Joinable {
+    type Output;
+    fn finished(&self) -> bool;
+    fn join(self) -> Self::Output;
+}
+
+impl<T> Joinable for std::thread::JoinHandle<T> {
+    type Output = T;
+    fn finished(&self) -> bool {
+        self.is_finished()
+    }
+    /// Propagates the thread's panic verbatim.
+    fn join(self) -> T {
+        std::thread::JoinHandle::join(self).unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
+}
+
+/// Joins experiment tasks with a watchdog: waits up to `timeout` for all
+/// of them and returns their outputs in input order, propagating a
+/// thread's panic as soon as it is seen. If some never finish, panics
+/// with a report naming each wedged task and — when tracing is enabled —
+/// the last trace point it recorded before going quiet, which is usually
+/// enough to identify the lost sleep/wake-up race without re-running
+/// under a debugger. Wedged children are killed as the unwind drops them.
+fn watchdog_join<J: Joinable>(
+    tasks: Vec<(String, u32, J)>,
+    timeout: Duration,
     traces: Option<&TraceRegistry>,
-) {
-    let deadline = std::time::Instant::now() + timeout;
-    let mut pending = named;
+) -> Vec<J::Output> {
+    let deadline = Instant::now() + timeout;
+    let mut done: Vec<Option<J::Output>> = tasks.iter().map(|_| None).collect();
+    let mut pending: Vec<_> = tasks.into_iter().enumerate().collect();
     loop {
         let mut still = Vec::with_capacity(pending.len());
-        for (name, id, h) in pending {
-            if h.is_finished() {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
+        for (i, (name, id, task)) in pending {
+            if task.finished() {
+                done[i] = Some(task.join());
             } else {
-                still.push((name, id, h));
+                still.push((i, (name, id, task)));
             }
         }
         pending = still;
         if pending.is_empty() {
-            return;
+            return done.into_iter().map(|o| o.expect("joined")).collect();
         }
-        if std::time::Instant::now() >= deadline {
+        if Instant::now() >= deadline {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let names: Vec<(u32, String)> = pending
+        .iter()
+        .map(|(_, (name, id, _))| (*id, name.clone()))
+        .collect();
+    let collected = traces.map(|t| t.collect(&names));
     let mut report = format!(
-        "watchdog: {} thread(s) still running after {timeout:?}:",
-        pending.len()
+        "watchdog: {} task(s) still running after {timeout:?}:",
+        names.len()
     );
-    let collected = traces.map(|t| {
-        let names: Vec<(u32, String)> = pending.iter().map(|(n, id, _)| (*id, n.clone())).collect();
-        t.collect(&names)
-    });
-    for (name, id, _) in &pending {
+    for (id, name) in &names {
         let last = collected
             .as_ref()
             .and_then(|ut| ut.records.iter().rev().find(|r| r.task_id == *id));
@@ -894,7 +1087,7 @@ fn watchdog_join(
                     r.point, r.ts_nanos
                 );
             }
-            None => report += &format!("\n  {name} wedged (no trace records; rerun with tracing)"),
+            None => report += &format!("\n  {name} wedged (no trace records)"),
         }
     }
     panic!("{report}");
@@ -904,8 +1097,8 @@ fn watchdog_join(
 /// a [`ShardedServer`](crate::ShardedServer) under open-loop arrival.
 #[derive(Debug, Clone)]
 pub struct WaitsetLoadResult {
-    /// Wall-clock duration from barrier release to last join.
-    pub elapsed: std::time::Duration,
+    /// First client's barrier release → last client's own completion.
+    pub elapsed: Duration,
     /// ECHO messages processed (disconnects excluded).
     pub messages: u64,
     /// Throughput in messages per millisecond.
@@ -918,8 +1111,8 @@ pub struct WaitsetLoadResult {
     pub server_metrics: MetricsSnapshot,
     /// Protocol events aggregated over every client thread.
     pub client_metrics: MetricsSnapshot,
-    /// Raw per-message latency samples in nanoseconds, merged over every
-    /// client (unordered). **Open-loop**: each sample is measured from
+    /// Raw per-message latency samples in nanoseconds, in (client,
+    /// message) order. **Open-loop**: each sample is measured from
     /// the message's *scheduled* send time, not the actual one, so the
     /// queueing delay a late-running client inflicts on itself is charged
     /// to the system — the coordinated-omission correction load
@@ -944,7 +1137,7 @@ pub fn run_waitset_load_experiment(
     n_clients: usize,
     msgs_per_client: u64,
     n_shards: usize,
-    interval: std::time::Duration,
+    interval: Duration,
 ) -> WaitsetLoadResult {
     use crate::waitset::{ShardedConfig, ShardedServer};
 
@@ -954,80 +1147,60 @@ pub fn run_waitset_load_experiment(
     let mut cfg = NativeConfig::for_clients(0);
     cfg.n_sems = srv.config().n_sems();
     cfg.n_msgqs = 0;
-    cfg.full_backoff = std::time::Duration::from_micros(200);
+    cfg.full_backoff = Duration::from_micros(200);
     let os = NativeOs::new(cfg);
 
-    let runs: Arc<std::sync::Mutex<Vec<crate::ServerRun>>> =
-        Arc::new(std::sync::Mutex::new(Vec::with_capacity(n_shards)));
-    let workers: Vec<_> = (0..n_shards)
+    let mut tasks: Vec<_> = (0..n_shards)
         .map(|s| {
-            let srv = Arc::clone(&srv);
-            let os = os.task(s as u32);
-            let runs = Arc::clone(&runs);
-            std::thread::spawn(move || {
-                let run = srv.run_worker(&os, s, |m| m);
-                runs.lock().unwrap().push(run);
+            let (srv, os) = (Arc::clone(&srv), os.task(s as u32));
+            spawn_task(format!("shard{s}"), s as u32, move || {
+                TaskEnd::Server(Box::new(Ok(srv.run_worker(&os, s, |m| m))))
             })
         })
         .collect();
 
-    let barrier = Arc::new(std::sync::Barrier::new(n_clients + 1));
-    let samples: Arc<std::sync::Mutex<Vec<u64>>> = Arc::new(std::sync::Mutex::new(
-        Vec::with_capacity(n_clients * msgs_per_client as usize),
-    ));
-    let clients: Vec<_> = (0..n_clients as u32)
-        .map(|c| {
-            let srv = Arc::clone(&srv);
-            let os = os.task(n_shards as u32 + c);
-            let barrier = Arc::clone(&barrier);
-            let samples = Arc::clone(&samples);
-            // Arrival phases staggered across the client population.
-            let phase = interval.mul_f64(c as f64 / n_clients.max(1) as f64);
-            std::thread::Builder::new()
-                .name(format!("load{c}"))
-                // 512 threads at the default stack would be profligate;
-                // the client loop is shallow.
-                .stack_size(192 * 1024)
-                .spawn(move || {
-                    let mut local = Vec::with_capacity(msgs_per_client as usize);
-                    let client = srv.client(&os, c);
-                    barrier.wait();
-                    let start = std::time::Instant::now();
-                    for m in 0..msgs_per_client {
-                        let due = phase + interval * m as u32;
-                        loop {
-                            let now = start.elapsed();
-                            if now >= due {
-                                break;
-                            }
-                            // Sleep-based pacing: on an overcommitted host
-                            // (CI is often 1-2 cores) spinning here would
-                            // starve the server and corrupt every sample.
-                            std::thread::sleep(due - now);
-                        }
-                        let v = client.echo(m as f64);
-                        assert_eq!(v, m as f64, "echo corrupted under load");
-                        local.push((start.elapsed() - due).as_nanos().max(1) as u64);
+    let barrier = Arc::new(std::sync::Barrier::new(n_clients));
+    tasks.extend((0..n_clients as u32).map(|c| {
+        let (srv, os, barrier) = (
+            Arc::clone(&srv),
+            os.task(n_shards as u32 + c),
+            Arc::clone(&barrier),
+        );
+        // Arrival phases staggered across the client population.
+        let phase = interval.mul_f64(c as f64 / n_clients.max(1) as f64);
+        spawn_task(format!("load{c}"), n_shards as u32 + c, move || {
+            let mut samples = Vec::with_capacity(msgs_per_client as usize);
+            let client = srv.client(&os, c);
+            barrier.wait();
+            let start = Instant::now();
+            for m in 0..msgs_per_client {
+                let due = phase + interval * m as u32;
+                loop {
+                    let now = start.elapsed();
+                    if now >= due {
+                        break;
                     }
-                    client.disconnect();
-                    samples.lock().unwrap().extend_from_slice(&local);
-                })
-                .expect("spawn load client")
+                    // Sleep-based pacing: on an overcommitted host
+                    // (CI is often 1-2 cores) spinning here would
+                    // starve the server and corrupt every sample.
+                    std::thread::sleep(due - now);
+                }
+                let v = client.echo(m as f64);
+                assert_eq!(v, m as f64, "echo corrupted under load");
+                samples.push((start.elapsed() - due).as_nanos().max(1) as u64);
+            }
+            client.disconnect();
+            TaskEnd::Client(ClientRun {
+                outcome: ClientFaultOutcome::Completed,
+                samples,
+                started: Some(start),
+                finished: Instant::now(),
+            })
         })
-        .collect();
+    }));
 
-    barrier.wait();
-    let start = std::time::Instant::now();
-    let mut named: Vec<(String, u32, std::thread::JoinHandle<()>)> = Vec::new();
-    for (s, h) in workers.into_iter().enumerate() {
-        named.push((format!("shard{s}"), s as u32, h));
-    }
-    for (c, h) in clients.into_iter().enumerate() {
-        named.push((format!("load{c}"), n_shards as u32 + c as u32, h));
-    }
-    watchdog_join(named, WATCHDOG_JOIN, os.traces());
-    let elapsed = start.elapsed();
-
+    let (server_runs, runs) = split_ends(watchdog_join(tasks, WATCHDOG_JOIN, os.traces()));
+    let elapsed = barrage_span(&runs);
     let messages = msgs_per_client * n_clients as u64;
     let reg = os.metrics().expect("for_clients enables metrics");
     WaitsetLoadResult {
@@ -1035,309 +1208,13 @@ pub fn run_waitset_load_experiment(
         elapsed,
         messages,
         shards: n_shards,
-        server_runs: Arc::try_unwrap(runs)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_default(),
+        server_runs: server_runs
+            .into_iter()
+            .map(|r| r.expect("shard workers do not catch panics"))
+            .collect(),
         server_metrics: reg.aggregate(|t| (t as usize) < n_shards),
         client_metrics: reg.aggregate(|t| (t as usize) >= n_shards),
-        client_samples: Arc::try_unwrap(samples)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_default(),
-    }
-}
-
-/// Outcome of one client thread in a fault-injection run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientFaultOutcome {
-    /// Completed every echo and disconnected cleanly.
-    Completed,
-    /// The failure model surfaced: the client stopped after `completed`
-    /// echoes with `error` (e.g. [`IpcError::PeerDead`](crate::IpcError::PeerDead)
-    /// once the killed server was detected).
-    Failed {
-        /// Echo round trips that succeeded before the error.
-        completed: u64,
-        /// The error that ended the session.
-        error: crate::IpcError,
-    },
-    /// This client was the fault plan's victim and was killed.
-    Killed,
-}
-
-/// Results of one native fault-injection experiment.
-#[derive(Debug)]
-pub struct NativeFaultResult {
-    /// Server outcome: `Ok` when the resilient loop returned, `Err` with
-    /// the panic message when the server was the victim.
-    pub server: Result<crate::ServerRun, String>,
-    /// Per-client outcome, indexed by client id.
-    pub clients: Vec<ClientFaultOutcome>,
-    /// Whether each client's reply queue ended poisoned.
-    pub reply_poisoned: Vec<bool>,
-    /// Whether the shared receive queue ended poisoned.
-    pub receive_poisoned: bool,
-    /// Server-task protocol events over the run.
-    pub server_metrics: MetricsSnapshot,
-    /// Per-client protocol events over the run.
-    pub client_metrics: Vec<MetricsSnapshot>,
-    /// The unified event trace, present when the run enabled tracing —
-    /// the timeline showing the injected kill, the survivor's detection
-    /// and the poison broadcast.
-    pub trace: Option<UnifiedTrace>,
-}
-
-/// Runs the echo workload on real threads while a [`FaultPlan`] kills one
-/// of them mid-protocol (a panic unwinds the victim, its
-/// [`DeathWatch`](crate::DeathWatch) tombstones the queue it consumes),
-/// and reports what the failure model did about it.
-///
-/// Task numbering follows the harness convention: the plan's victim `0`
-/// is the server, `1 + c` client `c`. The server runs
-/// [`run_resilient_server`](crate::run_resilient_server) with `heartbeat`
-/// as its liveness-scan period; clients call with `call_deadline` bounded
-/// by `deadline`. The join is bounded: a fault that escapes the failure
-/// model and wedges a thread panics via the watchdog instead of hanging
-/// the harness.
-pub fn run_native_fault_experiment(
-    strategy: WaitStrategy,
-    n_clients: usize,
-    msgs_per_client: u64,
-    plan: Arc<crate::FaultPlan>,
-    heartbeat: std::time::Duration,
-    deadline: std::time::Duration,
-) -> NativeFaultResult {
-    run_native_fault_experiment_traced(
-        strategy,
-        n_clients,
-        msgs_per_client,
-        plan,
-        heartbeat,
-        deadline,
-        None,
-    )
-}
-
-/// [`run_native_fault_experiment`] with optional event tracing, so the
-/// kill → detection → poison sequence can be inspected in Perfetto (see
-/// EXPERIMENTS.md's `figures faults` walkthrough).
-pub fn run_native_fault_experiment_traced(
-    strategy: WaitStrategy,
-    n_clients: usize,
-    msgs_per_client: u64,
-    plan: Arc<crate::FaultPlan>,
-    heartbeat: std::time::Duration,
-    deadline: std::time::Duration,
-    trace_capacity: Option<usize>,
-) -> NativeFaultResult {
-    use crate::fault::{DeathWatch, FaultAction};
-    let channel = Channel::create(&ChannelConfig::new(n_clients)).expect("channel creation");
-    let mut cfg = NativeConfig::for_clients(n_clients);
-    cfg.trace_capacity = trace_capacity;
-    let os = NativeOs::new(cfg);
-    let barrier = Arc::new(std::sync::Barrier::new(n_clients + 1));
-
-    let server = {
-        let ch = channel.clone();
-        let os = os.task(0);
-        let plan = Arc::clone(&plan);
-        std::thread::spawn(move || {
-            // Tombstone the whole channel if this thread dies: every
-            // client fails fast instead of riding out its deadline.
-            let _watch = crate::fault::ServerDeathWatch::arm(&ch, &os);
-            crate::server::run_resilient_server(&ch, &os, strategy, heartbeat, |m| {
-                match plan.fire(0) {
-                    Some(FaultAction::Kill) => {
-                        os.record(crate::metrics::ProtoEvent::FaultInjected);
-                        panic!("injected fault: server killed at op {}", plan.at_op)
-                    }
-                    Some(FaultAction::DelayNanos(ns)) => {
-                        os.record(crate::metrics::ProtoEvent::FaultInjected);
-                        std::thread::sleep(std::time::Duration::from_nanos(ns))
-                    }
-                    Some(FaultAction::DropWakeup) | None => {}
-                }
-                m
-            })
-        })
-    };
-
-    let clients: Vec<_> = (0..n_clients as u32)
-        .map(|c| {
-            let ch = channel.clone();
-            let os = os.task(1 + c);
-            let plan = Arc::clone(&plan);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || -> ClientFaultOutcome {
-                let _watch = DeathWatch::arm(ch.reply_queue(c), &os);
-                let ep = ch.client(&os, c, strategy);
-                barrier.wait();
-                for i in 0..msgs_per_client {
-                    match plan.fire(1 + c) {
-                        Some(FaultAction::Kill) => {
-                            os.record(crate::metrics::ProtoEvent::FaultInjected);
-                            panic!("injected fault: client {c} killed at op {}", plan.at_op)
-                        }
-                        Some(FaultAction::DelayNanos(ns)) => {
-                            os.record(crate::metrics::ProtoEvent::FaultInjected);
-                            std::thread::sleep(std::time::Duration::from_nanos(ns))
-                        }
-                        Some(FaultAction::DropWakeup) | None => {}
-                    }
-                    match ep.call_deadline(crate::Message::echo(c, i as f64), deadline) {
-                        Ok(reply) => assert_eq!(reply.value, i as f64, "echo corrupted"),
-                        Err(error) => {
-                            return ClientFaultOutcome::Failed {
-                                completed: i,
-                                error,
-                            }
-                        }
-                    }
-                }
-                match ep.call_deadline(crate::Message::disconnect(c), deadline) {
-                    Ok(_) => ClientFaultOutcome::Completed,
-                    Err(error) => ClientFaultOutcome::Failed {
-                        completed: msgs_per_client,
-                        error,
-                    },
-                }
-            })
-        })
-        .collect();
-
-    barrier.wait();
-    let deadline_join =
-        std::time::Instant::now() + WATCHDOG_JOIN + deadline * (msgs_per_client as u32).max(1);
-    let clients: Vec<ClientFaultOutcome> = clients
-        .into_iter()
-        .enumerate()
-        .map(|(c, h)| {
-            while !h.is_finished() && std::time::Instant::now() < deadline_join {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            assert!(
-                h.is_finished(),
-                "watchdog: client {c} wedged — fault escaped the failure model"
-            );
-            h.join().unwrap_or(ClientFaultOutcome::Killed)
-        })
-        .collect();
-    while !server.is_finished() && std::time::Instant::now() < deadline_join {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(
-        server.is_finished(),
-        "watchdog: server wedged — fault escaped the failure model"
-    );
-    let server = server.join().map_err(|p| {
-        p.downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "server panicked".into())
-    });
-
-    let reg = os.metrics().expect("for_clients enables metrics");
-    let trace = os.traces().map(|t| {
-        let mut names = vec![(0, "server".to_string())];
-        for c in 0..n_clients as u32 {
-            names.push((1 + c, format!("client{c}")));
-        }
-        t.collect(&names)
-    });
-    NativeFaultResult {
-        server,
-        trace,
-        reply_poisoned: (0..n_clients as u32)
-            .map(|c| channel.reply_queue(c).is_poisoned())
-            .collect(),
-        receive_poisoned: channel.receive_queue().is_poisoned(),
-        server_metrics: reg.task_snapshot(0),
-        client_metrics: (0..n_clients as u32)
-            .map(|c| reg.task_snapshot(1 + c))
-            .collect(),
-        clients,
-    }
-}
-
-/// The fault-free *fallible* twin of [`run_native_experiment`]: the same
-/// echo barrage on real threads, but every client call goes through
-/// [`call_deadline`](crate::ClientEndpoint::call_deadline) and the server
-/// runs [`run_resilient_server`](crate::run_resilient_server) with a
-/// heartbeat. Nothing faults, so any latency difference against the
-/// infallible twin *is* the robustness overhead — the number the
-/// `figures faults` experiment regresses on.
-///
-/// # Panics
-///
-/// On echo corruption, any client-visible [`IpcError`](crate::IpcError),
-/// or a wedged thread (watchdog).
-pub fn run_native_deadline_experiment(
-    strategy: WaitStrategy,
-    n_clients: usize,
-    msgs_per_client: u64,
-    heartbeat: std::time::Duration,
-    deadline: std::time::Duration,
-) -> NativeExperimentResult {
-    let channel = Channel::create(&ChannelConfig::new(n_clients)).expect("channel creation");
-    let os = NativeOs::new(NativeConfig::for_clients(n_clients));
-    let barrier = Arc::new(std::sync::Barrier::new(n_clients + 1));
-    let samples: Arc<std::sync::Mutex<Vec<u64>>> = Arc::new(std::sync::Mutex::new(
-        Vec::with_capacity(n_clients * msgs_per_client as usize),
-    ));
-
-    let server = {
-        let ch = channel.clone();
-        let os = os.task(0);
-        std::thread::spawn(move || {
-            let _ = crate::server::run_resilient_server(&ch, &os, strategy, heartbeat, |m| m);
-        })
-    };
-
-    let clients: Vec<_> = (0..n_clients as u32)
-        .map(|c| {
-            let ch = channel.clone();
-            let os = os.task(1 + c);
-            let barrier = Arc::clone(&barrier);
-            let samples = Arc::clone(&samples);
-            std::thread::spawn(move || {
-                let mut local = Vec::with_capacity(msgs_per_client as usize);
-                barrier.wait();
-                let ep = ch.client(&os, c, strategy);
-                for i in 0..msgs_per_client {
-                    let t0 = std::time::Instant::now();
-                    let reply = ep
-                        .call_deadline(crate::Message::echo(c, i as f64), deadline)
-                        .expect("fault-free deadline call failed");
-                    local.push(t0.elapsed().as_nanos() as u64);
-                    assert_eq!(reply.value, i as f64, "echo corrupted");
-                }
-                ep.call_deadline(crate::Message::disconnect(c), deadline)
-                    .expect("fault-free disconnect failed");
-                samples.lock().unwrap().extend_from_slice(&local);
-            })
-        })
-        .collect();
-
-    barrier.wait();
-    let start = std::time::Instant::now();
-    let mut named = vec![("server".to_string(), 0u32, server)];
-    for (c, h) in clients.into_iter().enumerate() {
-        named.push((format!("client{c}"), 1 + c as u32, h));
-    }
-    watchdog_join(named, WATCHDOG_JOIN, os.traces());
-    let elapsed = start.elapsed();
-    let messages = msgs_per_client * n_clients as u64;
-    let reg = os.metrics().expect("for_clients enables metrics");
-    NativeExperimentResult {
-        throughput: messages as f64 / (elapsed.as_secs_f64() * 1e3),
-        elapsed,
-        messages,
-        server_metrics: reg.task_snapshot(0),
-        client_metrics: reg.aggregate(|t| t != 0),
-        client_latency: reg.aggregate_latency(|t| t != 0),
-        client_samples: Arc::try_unwrap(samples)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_default(),
-        trace: None,
+        client_samples: runs.into_iter().flat_map(|r| r.samples).collect(),
     }
 }
 
@@ -1346,6 +1223,19 @@ pub fn run_native_deadline_experiment(
 /// [`ShmArena`](usipc_shm::ShmArena) — the paper's actual deployment
 /// shape ("user-level IPC" means *cross-address-space*), where the
 /// thread-mode harness above is only the convenient stand-in.
+///
+/// Every run shares one scaffold: [`World::build`] lays out the segment
+/// and publishes a [`ProcRoot`], each child bootstraps from nothing but
+/// the inherited fd through [`Attached::new`], a ready/go barrier
+/// ([`World::release`]) keeps attach cost out of the measurement, and
+/// results come home through per-client [`ProcCell`]s.
+///
+/// Fork discipline: children are forked **before** any parent thread
+/// starts, and the caller must be effectively single-threaded at the call
+/// (a forked child reproduces only the calling thread; another thread
+/// holding the allocator lock at fork time would deadlock the child). Run
+/// the drills from a `main`, or from a test binary that runs its
+/// scenarios sequentially in one test function.
 ///
 /// Linux-only (fork, memfd, pidfd): gated exactly like [`crate::proc`].
 #[cfg(all(
@@ -1358,22 +1248,37 @@ mod proc_harness {
     use crate::proc::{ChildProc, ExitStatus};
     use crate::telemetry::{Role, TelemetryPlane, TelemetryReading};
     use crate::{ChannelRoot, CountingSem, ServerRun};
+    use core::ops::Range;
     use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
     use usipc_shm::{ShmArena, ShmPtr, ShmSlice};
 
-    /// Per-child result cell, written by the child before it exits and
-    /// read by the parent after reaping it. Lives in the shared arena —
-    /// the only way data crosses back, since a forked child's heap is a
-    /// private copy-on-write copy.
+    impl Joinable for ChildProc {
+        type Output = ExitStatus;
+        fn finished(&self) -> bool {
+            self.dead_within(Duration::ZERO)
+        }
+        fn join(self) -> ExitStatus {
+            self.wait().unwrap_or_else(|e| panic!("wait4: {e:?}"))
+        }
+    }
+
+    /// Per-child result cell, written by the child and read by the parent.
+    /// Lives in the shared arena — the only way data crosses back, since a
+    /// forked child's heap is a private copy-on-write copy.
     #[repr(C)]
     struct ProcCell {
         /// The child's final [`MetricsSnapshot`] in
         /// [`to_array`](MetricsSnapshot::to_array) form.
         events: [AtomicU64; N_EVENTS],
-        /// Echo round trips completed so far (live; the kill experiment
-        /// watches it to time the SIGKILL mid-traffic).
+        /// Echo round trips completed so far (live; the drills watch it to
+        /// time their SIGKILLs mid-traffic).
         progress: AtomicU64,
+        /// Requests re-issued after a
+        /// [`DROPPED`](crate::msg::opcode::DROPPED) notice.
+        retries: AtomicU64,
+        /// Segment-clock nanoseconds of the client's own completion (after
+        /// its disconnect).
+        done_at: AtomicU64,
         /// 0 while running, 1 once `events` is fully stored.
         state: AtomicU32,
     }
@@ -1387,7 +1292,62 @@ mod proc_harness {
             ProcCell {
                 events: std::array::from_fn(|_| AtomicU64::new(0)),
                 progress: AtomicU64::new(0),
+                retries: AtomicU64::new(0),
+                done_at: AtomicU64::new(0),
                 state: AtomicU32::new(0),
+            }
+        }
+
+        fn finalized(&self) -> bool {
+            self.state.load(Ordering::Acquire) == 1
+        }
+
+        /// The child's final counters.
+        fn snapshot(&self) -> MetricsSnapshot {
+            assert!(self.finalized(), "cell not finalized");
+            let mut a = [0u64; N_EVENTS];
+            for (dst, src) in a.iter_mut().zip(self.events.iter()) {
+                *dst = src.load(Ordering::Relaxed);
+            }
+            MetricsSnapshot::from_array(&a)
+        }
+    }
+
+    /// The per-run scalars every participant reads from the root.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        /// Number of clients (children validate their id against it).
+        n_clients: u32,
+        /// Clients `0..n_victims` barrage endlessly: the parent's SIGKILL
+        /// is their only exit, so the kill provably lands mid-conversation.
+        n_victims: u32,
+        /// Echo round trips per client.
+        msgs_per_client: u64,
+        /// Echo requests a forked server serves before SIGKILLing itself
+        /// **mid-handler** — the request in hand is consumed but its reply
+        /// never commits, which is the nastiest kill site the explorer
+        /// sweeps surface. Read only by a forked server.
+        kill_site: u64,
+        /// CPU every participant pins itself to (`-1`: run free). Pinning
+        /// everyone to one CPU reproduces the paper's uniprocessor regime
+        /// on a multicore host — the regime where BSW's four-syscall
+        /// round trip is exact instead of a ceiling.
+        pin_cpu: i32,
+        /// Nonzero: client `n_clients - 1` is the late prober of the
+        /// pinned takeover drill.
+        prober: u32,
+    }
+
+    impl Shape {
+        fn new(n_clients: usize, msgs_per_client: u64) -> Self {
+            Shape {
+                n_clients: n_clients as u32,
+                n_victims: 0,
+                msgs_per_client,
+                kill_site: 0,
+                pin_cpu: -1,
+                prober: 0,
             }
         }
     }
@@ -1400,9 +1360,13 @@ mod proc_harness {
         /// Ready barrier: each child `V`s once it is attached and has
         /// built its endpoint.
         ready: CountingSem,
-        /// Go signal: the parent `V`s `n_clients` times to start the
-        /// barrage (so the measurement window excludes attach cost).
+        /// Go signal: the parent `V`s once per client to start the barrage
+        /// (so the measurement window excludes attach cost).
         go: CountingSem,
+        /// Gate for the late prober: the parent releases it only after
+        /// the takeover completed and every other client finished. Lives
+        /// outside the channel, so the fsck never touches it.
+        prober_go: CountingSem,
         /// The channel's root object (allocated with
         /// [`Channel::create_in`], *not* published as the arena root —
         /// this struct is).
@@ -1413,17 +1377,9 @@ mod proc_harness {
         cells: ShmSlice<ProcCell>,
         /// Raw round-trip samples: client `c` writes nanosecond sample
         /// `i` at index `c * msgs_per_client + i`. Empty when the run
-        /// does not collect samples (the kill experiment).
+        /// does not collect samples.
         samples: ShmSlice<AtomicU64>,
-        /// Number of clients (children validate their id against it).
-        n_clients: u32,
-        /// Echo round trips per client.
-        msgs_per_client: u64,
-        /// CPU every participant pins itself to (`-1`: run free). Pinning
-        /// everyone to one CPU reproduces the paper's uniprocessor regime
-        /// on a multicore host — the regime where BSW's four-syscall
-        /// round trip is exact instead of a ceiling.
-        pin_cpu: i32,
+        shape: Shape,
     }
 
     // SAFETY: sems in shared-futex mode, offset handles and plain
@@ -1445,106 +1401,349 @@ mod proc_harness {
     /// than an earlier one — a torn or inconsistent snapshot.
     const EXIT_TORN: i32 = 8;
 
-    /// Per-run telemetry shape for [`build_proc_world`].
-    #[derive(Debug, Clone, Copy)]
-    struct ProcTelemetry {
-        /// Flight-recorder ring capacity in records; 0 allocates the
-        /// stats plane without a flight recorder.
-        flight_capacity: usize,
+    /// Forks a child running `body`; its `Err` is the exit code.
+    fn fork(body: impl FnOnce() -> Result<(), i32>) -> ChildProc {
+        ChildProc::spawn(move || body().err().unwrap_or(0)).expect("fork")
     }
 
-    /// The whole life of one forked client: attach the inherited memfd
-    /// (a *fresh* mapping — nothing from the parent's address space is
-    /// reused), bootstrap from the arena root, barrier, barrage, report.
-    fn proc_client_body(fd: i32, c: u32, strategy: WaitStrategy, endless: bool) -> i32 {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => Arc::new(a),
-            Err(_) => return EXIT_ATTACH_FAILED,
-        };
-        let root = match arena.root::<ProcRoot>() {
-            Some(r) => r,
-            None => return EXIT_NO_ROOT,
-        };
-        let pr = arena.get(root);
-        if pr.pin_cpu >= 0
-            && (crate::proc::pin_to_cpu(pr.pin_cpu as usize).is_err()
-                || crate::proc::set_sched_batch().is_err())
-        {
-            return EXIT_PIN_FAILED;
+    /// Joins one parent thread or child under the watchdog.
+    fn join_one<J: Joinable>(task: (String, u32, J)) -> J::Output {
+        watchdog_join(vec![task], WATCHDOG_JOIN, None)
+            .pop()
+            .expect("one task")
+    }
+
+    /// Reaps `children` under the watchdog and asserts each exited 0.
+    fn reap_all(children: Vec<ChildProc>, who: &str) -> Vec<ExitStatus> {
+        let named = children
+            .into_iter()
+            .enumerate()
+            .map(|(i, child)| (format!("{who} {i}"), 0, child))
+            .collect();
+        let exits = watchdog_join(named, WATCHDOG_JOIN, None);
+        for (i, e) in exits.iter().enumerate() {
+            assert!(e.success(), "{who} {i} failed: {e:?}");
         }
-        let n_clients = pr.n_clients as usize;
-        let os = NativeOs::attach_shared(
-            NativeConfig::for_clients(n_clients),
-            Arc::clone(&arena),
-            pr.sems,
-        );
+        exits
+    }
+
+    /// Polls `cond` every `nap` (a yield when zero) until it holds;
+    /// panics with `what` past the watchdog bound.
+    fn wait_until(what: &str, nap: Duration, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + WATCHDOG_JOIN;
+        while !cond() {
+            assert!(Instant::now() < deadline, "watchdog: {what}");
+            if nap.is_zero() {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(nap);
+            }
+        }
+    }
+
+    /// The parent's handles on one run's shared world.
+    struct World {
+        arena: Arc<ShmArena>,
+        os: Arc<NativeOs>,
+        channel: Channel,
+        root: ShmPtr<ProcRoot>,
+        plane: Option<TelemetryPlane>,
+        /// The memfd every child inherits.
+        fd: i32,
+    }
+
+    impl World {
+        /// Builds the whole shared world — memfd arena, in-arena channel,
+        /// shared semaphore table, result cells, optional sample slots and
+        /// telemetry plane (`Some(flight ring capacity)`, 0 for no flight
+        /// recorder), bootstrap root.
+        fn build(
+            shape: Shape,
+            queue_kind: QueueKind,
+            samples: bool,
+            telemetry: Option<usize>,
+        ) -> World {
+            use core::mem::{align_of, size_of};
+            let n = shape.n_clients as usize;
+            assert!(n >= 1);
+            let ch_cfg = ChannelConfig::new(n).with_queue_kind(queue_kind);
+            let n_samples = if samples {
+                n * shape.msgs_per_client as usize
+            } else {
+                0
+            };
+            // Telemetry slots follow the task-id convention: slot 0 the
+            // server, slot 1+c client c. Flight rings additionally cover
+            // the monitor task (1 + n) the kill drill uses.
+            let flight_tasks = |capacity: usize| if capacity > 0 { 2 + n } else { 0 };
+            let telem_bytes = telemetry.map_or(0, |capacity| {
+                TelemetryPlane::bytes_needed(1 + n, flight_tasks(capacity), capacity)
+            });
+            // Exact layout plus per-allocation alignment slack plus the
+            // arena header line.
+            let cap = ch_cfg.bytes_needed()
+                + (1 + n) * size_of::<CountingSem>()
+                + align_of::<CountingSem>()
+                + n * size_of::<ProcCell>()
+                + align_of::<ProcCell>()
+                + n_samples * size_of::<AtomicU64>()
+                + align_of::<AtomicU64>()
+                + size_of::<ProcRoot>()
+                + align_of::<ProcRoot>()
+                + telem_bytes
+                + 256;
+            let arena =
+                Arc::new(ShmArena::new_memfd(cap).unwrap_or_else(|e| panic!("memfd arena: {e:?}")));
+            let (os, sems) = NativeOs::new_shared(NativeConfig::for_clients(n), Arc::clone(&arena))
+                .expect("shared semaphore table fits the arena");
+            let channel =
+                Channel::create_in(Arc::clone(&arena), &ch_cfg).expect("channel fits the arena");
+            let cells = arena
+                .alloc_slice(n, |_| ProcCell::new())
+                .expect("cells fit the arena");
+            let samples = arena
+                .alloc_slice(n_samples, |_| AtomicU64::new(0))
+                .expect("samples fit the arena");
+            let plane = telemetry.map(|capacity| {
+                let p = TelemetryPlane::create_in(&arena, 1 + n, flight_tasks(capacity), capacity)
+                    .expect("telemetry plane fits the arena");
+                if let Some(f) = p.flight() {
+                    os.arm_flight(f);
+                }
+                p
+            });
+            let root = arena
+                .alloc(ProcRoot {
+                    ready: CountingSem::new_shared(0),
+                    go: CountingSem::new_shared(0),
+                    prober_go: CountingSem::new_shared(0),
+                    channel: channel.root_ptr(),
+                    sems,
+                    cells,
+                    samples,
+                    shape,
+                })
+                .expect("root fits the arena");
+            arena.publish_root(root);
+            let fd = arena.backing_fd().expect("memfd backing");
+            World {
+                arena,
+                os,
+                channel,
+                root,
+                plane,
+                fd,
+            }
+        }
+
+        fn root(&self) -> &ProcRoot {
+            self.arena.get(self.root)
+        }
+
+        fn cells(&self) -> &[ProcCell] {
+            self.arena.get_slice(self.root().cells)
+        }
+
+        /// The ready/go barrier: waits for `participants` children to
+        /// attach, then releases every client. Returns the go instant on
+        /// the segment clock.
+        fn release(&self, participants: usize) -> u64 {
+            let pr = self.root();
+            for _ in 0..participants {
+                assert!(
+                    pr.ready.p_timeout(WATCHDOG_JOIN),
+                    "a participant never reached the ready barrier"
+                );
+            }
+            let go_at = self.arena.now_nanos();
+            for _ in 0..pr.shape.n_clients {
+                pr.go.v();
+            }
+            go_at
+        }
+
+        /// Quiescence after a server death: with the server dead no
+        /// replies flow, so within a bounded time every running client has
+        /// committed its next request and parked in its reply wait
+        /// (`awake` down) — after which its only remaining write is the
+        /// `P` on its own semaphore, which the fsck leaves strictly alone
+        /// for in-flight clients.
+        fn quiesce(&self, clients: Range<u32>, what: &str) {
+            let cells = self.cells();
+            for c in clients {
+                wait_until(
+                    &format!("client {c} never quiesced {what}"),
+                    Duration::ZERO,
+                    || cells[c as usize].finalized() || self.channel.reply_queue(c).awake_down(),
+                );
+            }
+        }
+
+        /// Spawns the parent's resilient server (task 0), armed to
+        /// tombstone the channel should it die.
+        fn serve(
+            &self,
+            name: &str,
+            strategy: WaitStrategy,
+            heartbeat: Duration,
+        ) -> (String, u32, std::thread::JoinHandle<ServerRun>) {
+            let (ch, t0) = (self.channel.clone(), self.os.task(0));
+            spawn_task(name.into(), 0, move || {
+                let _watch = crate::fault::ServerDeathWatch::arm(&ch, &t0);
+                crate::server::run_resilient_server(&ch, &t0, strategy, heartbeat, |m| m)
+            })
+        }
+
+        /// Protocol events summed over every client's final cell.
+        fn client_metrics(&self) -> MetricsSnapshot {
+            self.cells()
+                .iter()
+                .fold(MetricsSnapshot::default(), |acc, cell| {
+                    acc.add(&cell.snapshot())
+                })
+        }
+
+        fn drop_retries(&self) -> Vec<u64> {
+            self.cells()
+                .iter()
+                .map(|c| c.retries.load(Ordering::Relaxed))
+                .collect()
+        }
+    }
+
+    /// A forked child's view of the world: a *fresh* mapping of the
+    /// inherited memfd (nothing from the parent's address space is
+    /// reused), bootstrapped from the arena root.
+    struct Attached {
+        arena: Arc<ShmArena>,
+        root: ShmPtr<ProcRoot>,
+        os: Arc<NativeOs>,
+    }
+
+    impl Attached {
+        /// Attach → root → pin → shared semaphore table.
+        fn new(fd: i32) -> Result<Attached, i32> {
+            let arena = Arc::new(ShmArena::attach_memfd(fd).map_err(|_| EXIT_ATTACH_FAILED)?);
+            let root = arena.root::<ProcRoot>().ok_or(EXIT_NO_ROOT)?;
+            let pr = arena.get(root);
+            if pr.shape.pin_cpu >= 0
+                && (crate::proc::pin_to_cpu(pr.shape.pin_cpu as usize).is_err()
+                    || crate::proc::set_sched_batch().is_err())
+            {
+                return Err(EXIT_PIN_FAILED);
+            }
+            let os = NativeOs::attach_shared(
+                NativeConfig::for_clients(pr.shape.n_clients as usize),
+                Arc::clone(&arena),
+                pr.sems,
+            );
+            Ok(Attached { arena, root, os })
+        }
+
+        fn root(&self) -> &ProcRoot {
+            self.arena.get(self.root)
+        }
+
+        fn channel(&self) -> Channel {
+            Channel::from_root(Arc::clone(&self.arena), self.root().channel)
+        }
+    }
+
+    /// The whole life of one forked client: attach, barrier, barrage,
+    /// report. Re-issues any request a takeover dropped (the DROPPED
+    /// notice is the retry signal the infallible protocol otherwise
+    /// lacks), so it survives a server's death without seeing an error.
+    fn client_body(fd: i32, c: u32, strategy: WaitStrategy) -> Result<(), i32> {
+        let w = Attached::new(fd)?;
+        let pr = w.root();
+        let shape = pr.shape;
         // Telemetry discovery is in-band: the plane (if the parent made
         // one) hangs off the arena's aux slot, so a child — or any other
         // attacher — needs nothing but the fd. Arm the flight recorder
         // *before* building the task so the handle rides the hot path as
         // a plain `Option`.
-        let plane = TelemetryPlane::attach(&arena);
-        if let Some(p) = &plane {
-            if let Some(f) = p.flight() {
-                os.arm_flight(f);
-            }
+        let plane = TelemetryPlane::attach(&w.arena);
+        if let Some(f) = plane.as_ref().and_then(|p| p.flight()) {
+            w.os.arm_flight(f);
         }
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
-        let task = os.task(1 + c);
+        let task = w.os.task(1 + c);
         let writer = plane
             .as_ref()
             .map(|p| p.writer(1 + c as usize, 1 + c, Role::Client));
-        let ep = ch.client(&task, c, strategy);
-        let samples = arena.get_slice(pr.samples);
-        let cell = &arena.get_slice(pr.cells)[c as usize];
-        let msgs = if endless {
-            u64::MAX
-        } else {
-            pr.msgs_per_client
-        };
-        let base = c as usize * pr.msgs_per_client as usize;
+        let cell = &w.arena.get_slice(pr.cells)[c as usize];
+        let m = shape.msgs_per_client as usize;
+        let samples = w
+            .arena
+            .get_slice(pr.samples)
+            .get(c as usize * m..(c as usize + 1) * m)
+            .unwrap_or(&[]);
         let snapshot = || {
-            os.metrics()
+            w.os.metrics()
                 .map(|m| m.task_snapshot(1 + c))
                 .unwrap_or_default()
         };
 
-        pr.ready.v();
-        pr.go.p();
-        for i in 0..msgs {
+        let prober = shape.prober != 0 && c + 1 == shape.n_clients;
+        if prober {
+            // Park outside the channel until the parent opens the
+            // accounting window; the handle is built afterwards, stamped
+            // under the successor's generation.
+            pr.ready.v();
+            pr.go.p();
+            pr.prober_go.p();
+        }
+        let ch = w.channel();
+        let ep = ch.client(&task, c, strategy);
+        if !prober {
+            pr.ready.v();
+            pr.go.p();
+        }
+        let iters = if c < shape.n_victims {
+            u64::MAX
+        } else {
+            shape.msgs_per_client
+        };
+        for i in 0..iters {
             let t0 = Instant::now();
-            let v = ep.echo(i as f64);
+            let reply = loop {
+                let reply = ep.call(crate::Message::echo(c, i as f64));
+                if reply.opcode != crate::msg::opcode::DROPPED {
+                    break reply;
+                }
+                cell.retries.fetch_add(1, Ordering::Relaxed);
+            };
             let rt_nanos = t0.elapsed().as_nanos() as u64;
-            if let Some(slot) = samples.get(base + i as usize) {
+            if reply.value != i as f64 {
+                return Err(EXIT_ECHO_CORRUPTED);
+            }
+            if let Some(slot) = samples.get(i as usize) {
                 slot.store(rt_nanos, Ordering::Relaxed);
             }
-            if v != i as f64 {
-                return EXIT_ECHO_CORRUPTED;
-            }
             cell.progress.fetch_add(1, Ordering::Relaxed);
-            if let Some(w) = &writer {
+            if let Some(tw) = &writer {
                 // Per-RT cost: four Relaxed adds into this client's own
                 // cache-line-padded slot — no semaphore ops, no kernel
                 // crossings (the zero-overhead contract the accounting
                 // test pins).
-                w.record_latency_nanos(rt_nanos);
-                w.set_progress(i + 1);
+                tw.record_latency_nanos(rt_nanos);
+                tw.set_progress(i + 1);
                 if (i + 1) % 64 == 0 {
-                    w.publish(&snapshot());
+                    tw.publish(&snapshot());
                 }
             }
         }
         ep.disconnect();
+        cell.done_at.store(w.arena.now_nanos(), Ordering::Relaxed);
 
         let snap = snapshot();
-        if let Some(w) = &writer {
-            w.publish(&snap);
+        if let Some(tw) = &writer {
+            tw.publish(&snap);
         }
         for (slot, v) in cell.events.iter().zip(snap.to_array()) {
             slot.store(v, Ordering::Relaxed);
         }
         cell.state.store(1, Ordering::Release);
-        0
+        Ok(())
     }
 
     /// The whole life of a forked **observer**: attach the inherited fd,
@@ -1553,15 +1752,9 @@ mod proc_harness {
     /// the external `usipc-top` story reduced to an exit code. Counters
     /// are cumulative, so any later reading with a smaller value than an
     /// earlier one from the same slot proves a torn read.
-    fn proc_observer_body(fd: i32, deadline: Duration) -> i32 {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => Arc::new(a),
-            Err(_) => return EXIT_ATTACH_FAILED,
-        };
-        let plane = match TelemetryPlane::attach(&arena) {
-            Some(p) => p,
-            None => return EXIT_NO_TELEMETRY,
-        };
+    fn observer_body(fd: i32, deadline: Duration) -> Result<(), i32> {
+        let arena = Arc::new(ShmArena::attach_memfd(fd).map_err(|_| EXIT_ATTACH_FAILED)?);
+        let plane = TelemetryPlane::attach(&arena).ok_or(EXIT_NO_TELEMETRY)?;
         let give_up = Instant::now() + deadline;
         let mut baseline: Vec<Option<TelemetryReading>> = vec![None; plane.n_slots()];
         while Instant::now() < give_up {
@@ -1575,141 +1768,117 @@ mod proc_harness {
                         if later.iter().zip(earlier.iter()).any(|(l, e)| l < e)
                             || r.progress < b.progress
                         {
-                            return EXIT_TORN;
+                            return Err(EXIT_TORN);
                         }
                         if r.progress > b.progress && r.published_at > b.published_at {
-                            return 0;
+                            return Ok(());
                         }
                     }
                 }
             }
             std::thread::yield_now();
         }
-        EXIT_STALE
+        Err(EXIT_STALE)
     }
 
-    /// Builds the whole shared world — memfd arena, in-arena channel,
-    /// shared semaphore table, result cells, bootstrap root — and
-    /// returns the pieces the parent keeps.
-    fn build_proc_world(
-        strategy_name: &str,
-        n_clients: usize,
-        msgs_per_client: u64,
-        total_samples: usize,
-        pin_cpu: i32,
-        telemetry: Option<ProcTelemetry>,
-        queue_kind: QueueKind,
-    ) -> (
-        Arc<ShmArena>,
-        Arc<NativeOs>,
-        Channel,
-        ShmPtr<ProcRoot>,
-        Option<TelemetryPlane>,
-    ) {
-        use core::mem::{align_of, size_of};
-        assert!(n_clients >= 1);
-        let ch_cfg = ChannelConfig::new(n_clients).with_queue_kind(queue_kind);
-        // Telemetry slots follow the task-id convention: slot 0 the
-        // server, slot 1+c client c. Flight rings additionally cover the
-        // monitor task (1 + n_clients) the kill drill uses.
-        let n_slots = 1 + n_clients;
-        let flight_tasks = 2 + n_clients;
-        let telem_bytes = telemetry.map_or(0, |t| {
-            let ft = if t.flight_capacity > 0 {
-                flight_tasks
-            } else {
-                0
-            };
-            TelemetryPlane::bytes_needed(n_slots, ft, t.flight_capacity)
-        });
-        // Exact layout plus per-allocation alignment slack plus the
-        // arena header line.
-        let cap = ch_cfg.bytes_needed()
-            + (1 + n_clients) * size_of::<CountingSem>()
-            + align_of::<CountingSem>()
-            + n_clients * size_of::<ProcCell>()
-            + align_of::<ProcCell>()
-            + total_samples * size_of::<AtomicU64>()
-            + align_of::<AtomicU64>()
-            + size_of::<ProcRoot>()
-            + align_of::<ProcRoot>()
-            + telem_bytes
-            + 256;
-        let arena = Arc::new(
-            ShmArena::new_memfd(cap)
-                .unwrap_or_else(|e| panic!("memfd arena for {strategy_name}: {e:?}")),
+    /// The doomed incarnation: a forked server child that serves exactly
+    /// `kill_site` echoes, then SIGKILLs itself **inside the handler** —
+    /// request dequeued, reply uncommitted, no unwind guard, no
+    /// tombstone. Exactly what an external `kill -9` at that protocol
+    /// point produces.
+    fn doomed_server_body(fd: i32, strategy: WaitStrategy) -> Result<(), i32> {
+        let w = Attached::new(fd)?;
+        let ch = w.channel();
+        let task = w.os.task(0);
+        let kill_site = w.root().shape.kill_site;
+        let mut served = 0u64;
+        w.root().ready.v();
+        crate::server::run_resilient_server(
+            &ch,
+            &task,
+            strategy,
+            Duration::from_millis(5),
+            move |m| {
+                if m.opcode == crate::msg::opcode::ECHO {
+                    if served == kill_site {
+                        crate::proc::raise_sigkill();
+                    }
+                    served += 1;
+                }
+                m
+            },
         );
-        let (os, sems) =
-            NativeOs::new_shared(NativeConfig::for_clients(n_clients), Arc::clone(&arena))
-                .expect("shared semaphore table fits the arena");
-        let channel =
-            Channel::create_in(Arc::clone(&arena), &ch_cfg).expect("channel fits the arena");
-        let cells = arena
-            .alloc_slice(n_clients, |_| ProcCell::new())
-            .expect("cells fit the arena");
-        let samples = arena
-            .alloc_slice(total_samples, |_| AtomicU64::new(0))
-            .expect("samples fit the arena");
-        let plane = telemetry.map(|t| {
-            let ft = if t.flight_capacity > 0 {
-                flight_tasks
-            } else {
-                0
-            };
-            let p = TelemetryPlane::create_in(&arena, n_slots, ft, t.flight_capacity)
-                .expect("telemetry plane fits the arena");
-            if let Some(f) = p.flight() {
-                os.arm_flight(f);
-            }
-            p
-        });
-        let root = arena
-            .alloc(ProcRoot {
-                ready: CountingSem::new_shared(0),
-                go: CountingSem::new_shared(0),
-                channel: channel.root_ptr(),
-                sems,
-                cells,
-                samples,
-                n_clients: n_clients as u32,
-                msgs_per_client,
-                pin_cpu,
-            })
-            .expect("root fits the arena");
-        arena.publish_root(root);
-        (arena, os, channel, root, plane)
+        // Reachable only if the kill site exceeds the traffic — the
+        // harness rejects such sites up front.
+        Ok(())
     }
 
-    /// Joins the parent's server thread under the watchdog deadline.
-    fn join_server<T>(server: std::thread::JoinHandle<T>, what: &str) -> T {
-        let deadline = Instant::now() + WATCHDOG_JOIN;
-        while !server.is_finished() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+    /// The half-recoverer of the relay drill: attaches the inherited
+    /// segment and dies by its own SIGKILL **during recovery** — either
+    /// right after the generation bump (fsck never ran: the wreckage is
+    /// still the first server's) or right after the fsck (verdicts
+    /// issued, nothing served).
+    fn relay_recoverer_body(fd: i32, fsck: bool) -> Result<(), i32> {
+        let w = Attached::new(fd)?;
+        if fsck {
+            let _ = crate::recover::take_over(&w.channel(), &w.os.task(0));
+        } else {
+            w.arena.bump_generation();
         }
-        assert!(server.is_finished(), "watchdog: {what} server wedged");
-        match server.join() {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
-        }
+        crate::proc::raise_sigkill()
     }
 
-    /// Reaps one child under the watchdog (kills it first if wedged, so
-    /// a protocol bug fails the harness instead of leaking a process).
-    fn reap_child(child: ChildProc, who: &str) -> ExitStatus {
-        if !child.dead_within(WATCHDOG_JOIN) {
-            child.kill();
-            let _ = child.wait();
-            panic!("watchdog: {who} wedged past {WATCHDOG_JOIN:?}");
-        }
-        child
-            .wait()
-            .unwrap_or_else(|e| panic!("wait({who}): {e:?}"))
-    }
-
-    /// Results of one cross-process experiment ([`run_proc_experiment`]).
+    /// One cross-process echo run ([`run_proc_echo`]).
     #[derive(Debug, Clone)]
-    pub struct ProcExperimentResult {
-        /// Wall-clock duration of the barrage (go signal → server done).
+    pub struct ProcEcho {
+        /// Wait strategy of the server and every client.
+        pub strategy: WaitStrategy,
+        /// Number of forked clients.
+        pub clients: usize,
+        /// Echo round trips per client (before the disconnect).
+        pub msgs_per_client: u64,
+        /// CPU everyone — the server thread and every forked client —
+        /// pins itself to under `SCHED_BATCH`, reproducing the paper's
+        /// **uniprocessor** regime on a multicore host. Under that
+        /// schedule each side genuinely blocks before its peer runs, so
+        /// BSW's accounting is exact (4 semaphore ops per round trip)
+        /// instead of an upper bound that pipelining undercuts. `None`:
+        /// run free.
+        pub pin_cpu: Option<usize>,
+        /// Allocate the telemetry plane with every participant
+        /// publishing (a sampler thread feeds the server's slot).
+        pub telemetry: bool,
+        /// Also fork an external **observer** that attaches the segment by
+        /// inherited fd — knowing nothing but that fd — and exits 0 only
+        /// after reading a consistent, advancing snapshot while the
+        /// barrage is live. Implies `telemetry`.
+        pub observer: bool,
+        /// Channel queue representation (both kinds must cost BSW exactly
+        /// 4 semaphore ops per round trip: the queue swap is below the
+        /// protocol layer).
+        pub queue_kind: QueueKind,
+    }
+
+    impl ProcEcho {
+        /// The free-running, telemetry-off run on the default queue kind.
+        pub fn new(strategy: WaitStrategy, clients: usize, msgs_per_client: u64) -> Self {
+            ProcEcho {
+                strategy,
+                clients,
+                msgs_per_client,
+                pin_cpu: None,
+                telemetry: false,
+                observer: false,
+                queue_kind: QueueKind::default(),
+            }
+        }
+    }
+
+    /// Results of one cross-process echo run ([`run_proc_echo`]).
+    #[derive(Debug, Clone)]
+    pub struct ProcEchoResult {
+        /// The barrage: go release → last client's own completion (after
+        /// its disconnect), both on the segment clock.
         pub elapsed: Duration,
         /// ECHO messages processed.
         pub messages: u64,
@@ -1742,170 +1911,36 @@ mod proc_harness {
     /// the published root. The counting semaphores live *inside* the
     /// segment in cross-process futex mode, so the wait strategies run
     /// unmodified across address spaces — the backing-store swap the
-    /// paper's user-level design promises.
-    ///
-    /// Fork discipline: children are forked **before** the server thread
-    /// starts, and the caller must be effectively single-threaded at the
-    /// call (a forked child reproduces only the calling thread; another
-    /// thread holding the allocator lock at fork time would deadlock the
-    /// child). Run it from a `main`, or from a test binary that runs its
-    /// scenarios sequentially in one test function.
+    /// paper's user-level design promises. See the module docs for the
+    /// fork discipline.
     ///
     /// # Panics
     ///
     /// On any child failing (attach failure, echo corruption, panic,
-    /// signal) or a wedged process (watchdog).
-    pub fn run_proc_experiment(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-    ) -> ProcExperimentResult {
-        run_proc_experiment_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
-            None,
-            false,
-            false,
-            QueueKind::default(),
-        )
-    }
+    /// signal, a participant unable to pin itself) or a wedged process
+    /// (watchdog).
+    pub fn run_proc_echo(spec: &ProcEcho) -> ProcEchoResult {
+        let n = spec.clients;
+        let strategy = spec.strategy;
+        let pin_cpu = spec.pin_cpu;
+        let shape = Shape {
+            pin_cpu: pin_cpu.map_or(-1, |c| c as i32),
+            ..Shape::new(n, spec.msgs_per_client)
+        };
+        let telemetry = spec.telemetry || spec.observer;
+        let world = World::build(shape, spec.queue_kind, true, telemetry.then_some(0));
+        let fd = world.fd;
 
-    /// [`run_proc_experiment`] with everyone — the server thread and every
-    /// forked client — pinned to `cpu`, reproducing the paper's
-    /// **uniprocessor** regime on a multicore host. Under that schedule
-    /// each side genuinely blocks before its peer runs, so BSW's
-    /// accounting is exact (4 semaphore ops per round trip) instead of an
-    /// upper bound that pipelining undercuts.
-    ///
-    /// # Panics
-    ///
-    /// As [`run_proc_experiment`]; additionally if a participant cannot
-    /// pin itself to `cpu`.
-    pub fn run_proc_experiment_pinned(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-        cpu: usize,
-    ) -> ProcExperimentResult {
-        run_proc_experiment_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
-            Some(cpu),
-            false,
-            false,
-            QueueKind::default(),
-        )
-    }
-
-    /// [`run_proc_experiment_pinned`] with an explicit channel queue
-    /// representation — the cross-process leg of the queue-kind bench
-    /// matrix and of the accounting pins (BSW must cost exactly 4
-    /// semaphore ops per round trip on *both* kinds: the queue swap is
-    /// below the protocol layer).
-    ///
-    /// # Panics
-    ///
-    /// As [`run_proc_experiment_pinned`].
-    pub fn run_proc_experiment_pinned_queue(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-        cpu: usize,
-        queue_kind: QueueKind,
-    ) -> ProcExperimentResult {
-        run_proc_experiment_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
-            Some(cpu),
-            false,
-            false,
-            queue_kind,
-        )
-    }
-
-    /// [`run_proc_experiment_pinned`] with the telemetry plane allocated
-    /// and every participant publishing — the configuration
-    /// `tests/metrics_accounting.rs` pins BSW's four-syscall round trip
-    /// under, proving the plane adds no semaphore ops or kernel
-    /// crossings to the protocol.
-    pub fn run_proc_experiment_pinned_telemetry(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-        cpu: usize,
-    ) -> ProcExperimentResult {
-        run_proc_experiment_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
-            Some(cpu),
-            true,
-            false,
-            QueueKind::default(),
-        )
-    }
-
-    /// [`run_proc_experiment`] with the telemetry plane on and an extra
-    /// forked **observer** process that attaches the segment by inherited
-    /// fd — knowing nothing but that fd — and exits 0 only after reading
-    /// a consistent, advancing snapshot while the barrage is live. The
-    /// result's `observer_exit` carries its verdict.
-    pub fn run_proc_observed_experiment(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-    ) -> ProcExperimentResult {
-        run_proc_experiment_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
-            None,
-            true,
-            true,
-            QueueKind::default(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_proc_experiment_opts(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-        pin_cpu: Option<usize>,
-        telemetry: bool,
-        observer: bool,
-        queue_kind: QueueKind,
-    ) -> ProcExperimentResult {
-        let total_samples = n_clients * msgs_per_client as usize;
-        let pin = pin_cpu.map_or(-1, |c| c as i32);
-        let (arena, os, channel, root, plane) = build_proc_world(
-            &strategy.name(),
-            n_clients,
-            msgs_per_client,
-            total_samples,
-            pin,
-            telemetry.then_some(ProcTelemetry { flight_capacity: 0 }),
-            queue_kind,
-        );
-        let fd = arena.backing_fd().expect("memfd backing");
-
-        let mut children: Vec<ChildProc> = (0..n_clients as u32)
-            .map(|c| {
-                ChildProc::spawn(move || proc_client_body(fd, c, strategy, false))
-                    .expect("fork client")
-            })
+        let children: Vec<ChildProc> = (0..n as u32)
+            .map(|c| fork(move || client_body(fd, c, strategy)))
             .collect();
-        let observer_child = observer.then(|| {
-            ChildProc::spawn(move || proc_observer_body(fd, WATCHDOG_JOIN)).expect("fork observer")
-        });
+        let observer = spec
+            .observer
+            .then(|| fork(move || observer_body(fd, WATCHDOG_JOIN)));
 
         let server = {
-            let ch = channel.clone();
-            let t0 = os.task(0);
-            std::thread::spawn(move || {
+            let (ch, t0) = (world.channel.clone(), world.os.task(0));
+            spawn_task("proc-echo server".into(), 0, move || {
                 if let Some(cpu) = pin_cpu {
                     crate::proc::pin_to_cpu(cpu).expect("pin server thread");
                     crate::proc::set_sched_batch().expect("batch server thread");
@@ -1919,17 +1954,19 @@ mod proc_harness {
         // accounting test verifies. Single-writer discipline holds: only
         // the sampler writes slot 0.
         let stop_sampler = Arc::new(AtomicBool::new(false));
-        let sampler = plane.clone().map(|p| {
-            let os = Arc::clone(&os);
-            let ch = channel.clone();
-            let stop = Arc::clone(&stop_sampler);
-            std::thread::spawn(move || {
+        let sampler = world.plane.clone().map(|p| {
+            let (os, ch, stop) = (
+                Arc::clone(&world.os),
+                world.channel.clone(),
+                Arc::clone(&stop_sampler),
+            );
+            spawn_task("sampler".into(), 0, move || {
                 let w = p.writer(0, 0, Role::Server);
                 loop {
                     let s = os.metrics().map(|m| m.task_snapshot(0)).unwrap_or_default();
                     w.set_progress(s.requests_served);
                     w.set_queue_depth(ch.receive_queue().queued_len() as u64);
-                    w.set_waiters(n_clients as u64);
+                    w.set_waiters(n as u64);
                     w.set_slots_leaked(s.slots_leaked);
                     w.publish(&s);
                     if stop.load(Ordering::Acquire) {
@@ -1940,36 +1977,17 @@ mod proc_harness {
             })
         });
 
-        let pr = arena.get(root);
-        for _ in 0..n_clients {
-            assert!(
-                pr.ready.p_timeout(WATCHDOG_JOIN),
-                "a child never reached the ready barrier"
-            );
-        }
-        let start = Instant::now();
-        for _ in 0..n_clients {
-            pr.go.v();
-        }
-        let server_run = join_server(server, "proc-experiment");
-        let elapsed = start.elapsed();
+        let go_at = world.release(n);
+        let server_run = join_one(server);
         // The observer needs live traffic: reap it before stopping the
-        // sampler only if it already finished, otherwise let the final
-        // publishes flow while it waits for its advancing pair.
-        let observer_exit = observer_child.map(|child| reap_child(child, "observer"));
+        // sampler, so the final publishes flow while it waits for its
+        // advancing pair.
+        let observer_exit = observer.map(|child| join_one(("observer".into(), 0, child)));
         stop_sampler.store(true, Ordering::Release);
         if let Some(h) = sampler {
-            let _ = h.join();
+            join_one(h);
         }
-
-        let exits: Vec<ExitStatus> = children
-            .drain(..)
-            .enumerate()
-            .map(|(c, child)| reap_child(child, &format!("client {c}")))
-            .collect();
-        for (c, e) in exits.iter().enumerate() {
-            assert!(e.success(), "client {c} failed: {e:?}");
-        }
+        let exits = reap_all(children, "client");
         if let Some(e) = &observer_exit {
             assert!(
                 e.success(),
@@ -1977,33 +1995,32 @@ mod proc_harness {
             );
         }
 
-        let cells = arena.get_slice(pr.cells);
-        let client_metrics = cells.iter().fold(MetricsSnapshot::default(), |acc, cell| {
-            assert_eq!(cell.state.load(Ordering::Acquire), 1, "cell not finalized");
-            let mut a = [0u64; N_EVENTS];
-            for (dst, src) in a.iter_mut().zip(cell.events.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            acc.add(&MetricsSnapshot::from_array(&a))
-        });
-        let client_samples: Vec<u64> = arena
-            .get_slice(pr.samples)
+        let client_metrics = world.client_metrics();
+        let done_at = world
+            .cells()
+            .iter()
+            .map(|cell| cell.done_at.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(go_at);
+        let elapsed = Duration::from_nanos(done_at.saturating_sub(go_at));
+        let client_samples = world
+            .arena
+            .get_slice(world.root().samples)
             .iter()
             .map(|s| s.load(Ordering::Relaxed))
             .collect();
 
-        let messages = msgs_per_client * n_clients as u64;
-        let telemetry = plane.map(|p| p.readings());
-        ProcExperimentResult {
+        let messages = spec.msgs_per_client * n as u64;
+        ProcEchoResult {
             throughput: messages as f64 / (elapsed.as_secs_f64() * 1e3),
             elapsed,
             messages,
-            server_metrics: os.metrics().expect("metrics on").task_snapshot(0),
+            server_metrics: world.os.metrics().expect("metrics on").task_snapshot(0),
             server_run,
             client_metrics,
             client_samples,
             exits,
-            telemetry,
+            telemetry: world.plane.map(|p| p.readings()),
             observer_exit,
         }
     }
@@ -2048,13 +2065,13 @@ mod proc_harness {
     /// endless barrage and **SIGKILLed mid-traffic** — no unwinding, no
     /// `DeathWatch`, exactly what process death looks like. The parent
     /// detects the death through the child's **pidfd**, feeds it into the
-    /// PR-5 failure model via
+    /// failure model via
     /// [`mark_consumer_dead`](crate::QueueRef::mark_consumer_dead), and
     /// the resilient server's next heartbeat scan reaps the victim and
     /// poisons its reply queue while the surviving clients finish their
     /// runs untouched.
     ///
-    /// Same fork discipline as [`run_proc_experiment`].
+    /// Same fork discipline as [`run_proc_echo`].
     ///
     /// # Panics
     ///
@@ -2066,39 +2083,28 @@ mod proc_harness {
         msgs_per_client: u64,
         heartbeat: Duration,
     ) -> ProcKillResult {
-        assert!(n_clients >= 1);
-        let (arena, os, channel, root, plane) = build_proc_world(
-            &strategy.name(),
-            n_clients,
-            msgs_per_client,
-            0,
-            -1,
-            Some(ProcTelemetry {
-                flight_capacity: KILL_FLIGHT_CAPACITY,
-            }),
+        let shape = Shape {
+            n_victims: 1,
+            ..Shape::new(n_clients, msgs_per_client)
+        };
+        let world = World::build(
+            shape,
             QueueKind::default(),
+            false,
+            Some(KILL_FLIGHT_CAPACITY),
         );
-        let fd = arena.backing_fd().expect("memfd backing");
-
-        let children: Vec<ChildProc> = (0..n_clients as u32)
-            .map(|c| {
-                let endless = c == 0;
-                ChildProc::spawn(move || proc_client_body(fd, c, strategy, endless))
-                    .expect("fork client")
-            })
+        let fd = world.fd;
+        let mut children: Vec<ChildProc> = (0..n_clients as u32)
+            .map(|c| fork(move || client_body(fd, c, strategy)))
             .collect();
 
         let server = {
-            let ch = channel.clone();
-            let t0 = os.task(0);
-            let plane = plane.clone();
-            std::thread::spawn(move || {
+            let (ch, t0, plane) = (world.channel.clone(), world.os.task(0), world.plane.clone());
+            spawn_task("proc-kill server".into(), 0, move || {
                 let writer = plane.as_ref().map(|p| p.writer(0, 0, Role::Server));
                 let flight = plane.as_ref().and_then(|p| p.flight());
                 let mut names = vec![(0, "server".to_string())];
-                for c in 0..n_clients as u32 {
-                    names.push((1 + c, format!("client{c}")));
-                }
+                names.extend((0..n_clients as u32).map(|c| (1 + c, format!("client{c}"))));
                 names.push((1 + n_clients as u32, "monitor".to_string()));
                 let obs = crate::server::ServerObservability {
                     telemetry: writer.as_ref(),
@@ -2115,27 +2121,16 @@ mod proc_harness {
                 )
             })
         };
-
-        let pr = arena.get(root);
-        for _ in 0..n_clients {
-            assert!(
-                pr.ready.p_timeout(WATCHDOG_JOIN),
-                "a child never reached the ready barrier"
-            );
-        }
-        for _ in 0..n_clients {
-            pr.go.v();
-        }
+        world.release(n_clients);
 
         // Let the victim make real progress, then kill it cold.
-        let cell0 = &arena.get_slice(pr.cells)[0];
-        let deadline = Instant::now() + WATCHDOG_JOIN;
-        while cell0.progress.load(Ordering::Relaxed) < KILL_AFTER_PROGRESS {
-            assert!(Instant::now() < deadline, "victim never made progress");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut children = children.into_iter();
-        let victim = children.next().expect("victim exists");
+        let cell0 = &world.cells()[0];
+        wait_until(
+            "victim never made progress",
+            Duration::from_millis(1),
+            || cell0.progress.load(Ordering::Relaxed) >= KILL_AFTER_PROGRESS,
+        );
+        let victim = children.remove(0);
         victim.kill();
         // pidfd-based detection: the descriptor polls readable at
         // process exit — race-free, no reaping required yet.
@@ -2146,210 +2141,28 @@ mod proc_harness {
         let victim_progress = cell0.progress.load(Ordering::Relaxed);
         // Feed the death into the failure model: flip the victim's
         // liveness word so the server's next heartbeat scan reaps it.
-        let monitor = os.task(1 + n_clients as u32);
-        channel.reply_queue(0).mark_consumer_dead(&monitor);
+        let monitor = world.os.task(1 + n_clients as u32);
+        world.channel.reply_queue(0).mark_consumer_dead(&monitor);
 
-        let (server_run, flight_dump) = join_server(server, "proc-kill");
+        let (server_run, flight_dump) = join_one(server);
         let victim_exit = victim.wait().expect("reap victim");
         assert_eq!(
             victim_exit,
             ExitStatus::Signaled(9),
             "victim should die by SIGKILL"
         );
-        let survivor_exits: Vec<ExitStatus> = children
-            .enumerate()
-            .map(|(i, child)| reap_child(child, &format!("survivor {}", i + 1)))
-            .collect();
-        for (i, e) in survivor_exits.iter().enumerate() {
-            assert!(e.success(), "survivor {} failed: {e:?}", i + 1);
-        }
+        let survivor_exits = reap_all(children, "survivor");
 
         ProcKillResult {
-            server_metrics: os.metrics().expect("metrics on").task_snapshot(0),
+            server_metrics: world.os.metrics().expect("metrics on").task_snapshot(0),
             server_run,
             victim_exit,
-            victim_reply_poisoned: channel.reply_queue(0).is_poisoned(),
+            victim_reply_poisoned: world.channel.reply_queue(0).is_poisoned(),
             victim_progress,
             survivor_exits,
             flight_dump,
-            telemetry: plane.map(|p| p.readings()),
+            telemetry: world.plane.map(|p| p.readings()),
         }
-    }
-
-    /// The bootstrap root for the **takeover drill**: like [`ProcRoot`],
-    /// but the *server* is the forked child (doomed to SIGKILL itself at
-    /// an instrumented kill site) and the parent is the successor.
-    #[repr(C)]
-    struct TakeoverRoot {
-        /// Attach barrier: every client and the doomed server `V` once up.
-        ready: CountingSem,
-        /// Go signal for the client barrage.
-        go: CountingSem,
-        /// Gate for the late prober (the pinned accounting leg): the
-        /// parent releases it only after the takeover completed and every
-        /// other client finished, so the prober's conversation runs in
-        /// clean lockstep against the successor. Lives outside the
-        /// channel, so the fsck never touches it.
-        prober_go: CountingSem,
-        /// The channel's root object.
-        channel: ShmPtr<ChannelRoot>,
-        /// The shared semaphore table.
-        sems: ShmSlice<CountingSem>,
-        /// One result cell per client.
-        cells: ShmSlice<ProcCell>,
-        /// Per-client count of requests re-issued after a
-        /// [`DROPPED`](crate::msg::opcode::DROPPED) notice.
-        retries: ShmSlice<AtomicU64>,
-        /// Number of clients.
-        n_clients: u32,
-        /// Clients `0..n_victims` are storm victims: they barrage
-        /// endlessly and are SIGKILLed by the parent mid-run.
-        n_victims: u32,
-        /// Echo round trips per client.
-        msgs_per_client: u64,
-        /// Echo requests the doomed incarnation serves before SIGKILLing
-        /// itself **mid-handler** — the request in hand is consumed but
-        /// its reply never commits, which is the nastiest kill site the
-        /// explorer sweeps surface (everything else is either still
-        /// committed in the receive queue or already committed as a
-        /// reply).
-        kill_site: u64,
-        /// CPU everyone pins to (`-1`: run free).
-        pin_cpu: i32,
-        /// Nonzero: client `n_clients - 1` is the late prober.
-        prober: u32,
-    }
-
-    // SAFETY: sems in shared-futex mode, offset handles and plain
-    // scalars; mutated fields are atomics. No host pointers.
-    unsafe impl usipc_shm::ShmSafe for TakeoverRoot {}
-
-    /// A client of the takeover drill: barrage with the *infallible*
-    /// protocol (it must survive the server's death without ever seeing
-    /// an error), re-issuing any request the takeover dropped.
-    fn takeover_client_body(fd: i32, c: u32, strategy: WaitStrategy) -> i32 {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => Arc::new(a),
-            Err(_) => return EXIT_ATTACH_FAILED,
-        };
-        let root = match arena.root::<TakeoverRoot>() {
-            Some(r) => r,
-            None => return EXIT_NO_ROOT,
-        };
-        let pr = arena.get(root);
-        if pr.pin_cpu >= 0
-            && (crate::proc::pin_to_cpu(pr.pin_cpu as usize).is_err()
-                || crate::proc::set_sched_batch().is_err())
-        {
-            return EXIT_PIN_FAILED;
-        }
-        let os = NativeOs::attach_shared(
-            NativeConfig::for_clients(pr.n_clients as usize),
-            Arc::clone(&arena),
-            pr.sems,
-        );
-        let task = os.task(1 + c);
-        let cell = &arena.get_slice(pr.cells)[c as usize];
-        let retries = &arena.get_slice(pr.retries)[c as usize];
-        let is_prober = pr.prober != 0 && c + 1 == pr.n_clients;
-
-        pr.ready.v();
-        pr.go.p();
-        if is_prober {
-            // Park outside the channel until the parent opens the
-            // accounting window; the handle is built afterwards, stamped
-            // under the successor's generation.
-            pr.prober_go.p();
-        }
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
-        let ep = ch.client(&task, c, strategy);
-        // Storm victims barrage forever; the parent's SIGKILL is their
-        // only exit, so the kill provably lands mid-conversation.
-        let iters = if c < pr.n_victims {
-            u64::MAX
-        } else {
-            pr.msgs_per_client
-        };
-        for i in 0..iters {
-            loop {
-                let reply = ep.call(crate::Message::echo(c, i as f64));
-                if reply.opcode == crate::msg::opcode::DROPPED {
-                    // At-most-once service: the takeover dropped the
-                    // request the dead server had in hand. Re-issue it —
-                    // the notice is the retry signal the infallible
-                    // protocol otherwise lacks.
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if reply.value != i as f64 {
-                    return EXIT_ECHO_CORRUPTED;
-                }
-                break;
-            }
-            cell.progress.fetch_add(1, Ordering::Relaxed);
-        }
-        ep.disconnect();
-
-        let snap = os
-            .metrics()
-            .map(|m| m.task_snapshot(1 + c))
-            .unwrap_or_default();
-        for (slot, v) in cell.events.iter().zip(snap.to_array()) {
-            slot.store(v, Ordering::Relaxed);
-        }
-        cell.state.store(1, Ordering::Release);
-        0
-    }
-
-    /// The doomed incarnation: a forked server child that serves exactly
-    /// `kill_site` echoes, then SIGKILLs itself **inside the handler** —
-    /// request dequeued, reply uncommitted, no unwind guard, no
-    /// tombstone. Exactly what an external `kill -9` at that protocol
-    /// point produces.
-    fn takeover_server_body(fd: i32, strategy: WaitStrategy) -> i32 {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => Arc::new(a),
-            Err(_) => return EXIT_ATTACH_FAILED,
-        };
-        let root = match arena.root::<TakeoverRoot>() {
-            Some(r) => r,
-            None => return EXIT_NO_ROOT,
-        };
-        let pr = arena.get(root);
-        if pr.pin_cpu >= 0
-            && (crate::proc::pin_to_cpu(pr.pin_cpu as usize).is_err()
-                || crate::proc::set_sched_batch().is_err())
-        {
-            return EXIT_PIN_FAILED;
-        }
-        let os = NativeOs::attach_shared(
-            NativeConfig::for_clients(pr.n_clients as usize),
-            Arc::clone(&arena),
-            pr.sems,
-        );
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
-        let task = os.task(0);
-        let kill_site = pr.kill_site;
-        let mut served = 0u64;
-        pr.ready.v();
-        let _ = crate::server::run_resilient_server(
-            &ch,
-            &task,
-            strategy,
-            Duration::from_millis(5),
-            move |m| {
-                if m.opcode == crate::msg::opcode::ECHO {
-                    if served == kill_site {
-                        crate::proc::raise_sigkill();
-                    }
-                    served += 1;
-                }
-                m
-            },
-        );
-        // Reachable only if the kill site exceeds the traffic — the
-        // harness rejects such sites up front.
-        0
     }
 
     /// Results of one generational-takeover drill
@@ -2389,13 +2202,6 @@ mod proc_harness {
         pub successor_window_sem_ops: Option<u64>,
     }
 
-    /// Knobs for [`run_proc_takeover_opts`].
-    struct TakeoverOpts {
-        pin_cpu: i32,
-        prober: bool,
-        heartbeat: Duration,
-    }
-
     /// The generational-takeover drill: forked clients barrage a forked
     /// server over a memfd segment; the server SIGKILLs itself
     /// mid-handler at `kill_site`; the parent detects the death by pidfd,
@@ -2406,7 +2212,15 @@ mod proc_harness {
     /// observing the crash, except the one whose in-hand request was
     /// dropped — it gets a DROPPED notice and re-issues.
     ///
-    /// Same fork discipline as [`run_proc_experiment`].
+    /// With `pin_cpu`, this is the **pinned accounting leg**: everyone on
+    /// that CPU under `SCHED_BATCH`, with the last client held back as a
+    /// **late prober** that starts only after the takeover completed and
+    /// the others drained — so its whole conversation is lockstep BSW
+    /// against the successor, and the paper's 4-semaphore-ops-per-round-
+    /// trip accounting can be pinned *post-takeover*. A long heartbeat
+    /// keeps liveness-scan timeouts out of the measured window.
+    ///
+    /// Same fork discipline as [`run_proc_echo`].
     ///
     /// # Panics
     ///
@@ -2418,108 +2232,116 @@ mod proc_harness {
         msgs_per_client: u64,
         kill_site: u64,
         queue_kind: QueueKind,
+        pin_cpu: Option<usize>,
     ) -> ProcTakeoverResult {
-        run_proc_takeover_opts(
-            strategy,
-            n_clients,
-            msgs_per_client,
+        let prober = pin_cpu.is_some();
+        let normal = n_clients - usize::from(prober);
+        assert!(
+            normal >= 1 && kill_site < normal as u64 * msgs_per_client,
+            "the doomed server must die mid-barrage (site {kill_site})"
+        );
+        let heartbeat = if prober {
+            Duration::from_secs(1)
+        } else {
+            Duration::from_millis(5)
+        };
+        let shape = Shape {
             kill_site,
-            queue_kind,
-            TakeoverOpts {
-                pin_cpu: -1,
-                prober: false,
-                heartbeat: Duration::from_millis(5),
-            },
-        )
-    }
+            pin_cpu: pin_cpu.map_or(-1, |c| c as i32),
+            prober: u32::from(prober),
+            ..Shape::new(n_clients, msgs_per_client)
+        };
+        let world = World::build(shape, queue_kind, false, None);
+        let fd = world.fd;
+        let clients: Vec<ChildProc> = (0..n_clients as u32)
+            .map(|c| fork(move || client_body(fd, c, strategy)))
+            .collect();
+        let doomed = fork(move || doomed_server_body(fd, strategy));
+        world.release(n_clients + 1);
 
-    /// The pinned accounting leg of the drill: everyone on one CPU under
-    /// `SCHED_BATCH`, with client 1 held back as a **late prober** that
-    /// starts only after the takeover completed and client 0 drained —
-    /// so its whole conversation is lockstep BSW against the successor,
-    /// and the paper's 4-semaphore-ops-per-round-trip accounting can be
-    /// pinned *post-takeover*. The long heartbeat keeps liveness-scan
-    /// timeouts out of the measured window.
-    pub fn run_proc_takeover_pinned_experiment(
-        strategy: WaitStrategy,
-        msgs_per_client: u64,
-        kill_site: u64,
-        cpu: usize,
-    ) -> ProcTakeoverResult {
-        run_proc_takeover_opts(
-            strategy,
-            2,
-            msgs_per_client,
-            kill_site,
-            QueueKind::default(),
-            TakeoverOpts {
-                pin_cpu: cpu as i32,
-                prober: true,
-                heartbeat: Duration::from_secs(1),
-            },
-        )
-    }
+        // The doomed incarnation reaches its kill site and dies; the
+        // pidfd is the successor's death signal.
+        assert!(
+            doomed.dead_within(WATCHDOG_JOIN),
+            "doomed server never reached kill site {kill_site}"
+        );
+        let t_detect = Instant::now();
+        let server_exit = doomed.wait().expect("reap doomed server");
+        // The prober (if any) is parked on its gate.
+        world.quiesce(0..normal as u32, "after the kill");
 
-    /// Builds the memfd world of the takeover-family drills: arena,
-    /// shared semaphore table, channel and the published
-    /// [`TakeoverRoot`].
-    #[allow(clippy::type_complexity)]
-    fn build_takeover_world(
-        n_clients: usize,
-        n_victims: usize,
-        msgs_per_client: u64,
-        kill_site: u64,
-        queue_kind: QueueKind,
-        pin_cpu: i32,
-        prober: bool,
-    ) -> (
-        Arc<ShmArena>,
-        Arc<NativeOs>,
-        Channel,
-        usipc_shm::ShmPtr<TakeoverRoot>,
-    ) {
-        use core::mem::{align_of, size_of};
-        let ch_cfg = ChannelConfig::new(n_clients).with_queue_kind(queue_kind);
-        let cap = ch_cfg.bytes_needed()
-            + (1 + n_clients) * size_of::<CountingSem>()
-            + align_of::<CountingSem>()
-            + n_clients * (size_of::<ProcCell>() + size_of::<AtomicU64>())
-            + align_of::<ProcCell>()
-            + align_of::<AtomicU64>()
-            + size_of::<TakeoverRoot>()
-            + align_of::<TakeoverRoot>()
-            + 256;
-        let arena = Arc::new(ShmArena::new_memfd(cap).expect("memfd arena for takeover"));
-        let (os, sems) =
-            NativeOs::new_shared(NativeConfig::for_clients(n_clients), Arc::clone(&arena))
-                .expect("shared semaphore table fits the arena");
-        let channel =
-            Channel::create_in(Arc::clone(&arena), &ch_cfg).expect("channel fits the arena");
-        let cells = arena
-            .alloc_slice(n_clients, |_| ProcCell::new())
-            .expect("cells fit the arena");
-        let retries = arena
-            .alloc_slice(n_clients, |_| AtomicU64::new(0))
-            .expect("retry counters fit the arena");
-        let root = arena
-            .alloc(TakeoverRoot {
-                ready: CountingSem::new_shared(0),
-                go: CountingSem::new_shared(0),
-                prober_go: CountingSem::new_shared(0),
-                channel: channel.root_ptr(),
-                sems,
-                cells,
-                retries,
-                n_clients: n_clients as u32,
-                n_victims: n_victims as u32,
-                msgs_per_client,
-                kill_site,
-                pin_cpu,
-                prober: u32::from(prober),
+        // A handle stamped under the dead generation, for the staleness
+        // probe below.
+        let stale_ch = Channel::from_root(Arc::clone(&world.arena), world.root().channel);
+
+        // The successor: bump + fsck + re-arm + serve, on its own thread
+        // so the parent can probe staleness and orchestrate the pinned
+        // accounting window.
+        let successor = {
+            let (ch, os0) = (world.channel.clone(), world.os.task(0));
+            spawn_task("takeover successor server".into(), 0, move || {
+                if let Some(cpu) = pin_cpu {
+                    crate::proc::pin_to_cpu(cpu).expect("pin successor");
+                    crate::proc::set_sched_batch().expect("batch successor");
+                }
+                let takeover = crate::recover::take_over(&ch, &os0);
+                let fsck_done = Instant::now();
+                let _watch = crate::fault::ServerDeathWatch::arm(&ch, &os0);
+                let run =
+                    crate::server::run_resilient_server(&ch, &os0, strategy, heartbeat, |m| m);
+                (takeover, fsck_done, run)
             })
-            .expect("root fits the arena");
-        arena.publish_root(root);
-        (arena, os, channel, root)
+        };
+
+        // Staleness probe, deliberately racing the fsck: the generation
+        // bump alone must fence this handle — the call fails fast with a
+        // local stamp check before touching any queue.
+        wait_until(
+            "the successor never bumped the generation",
+            Duration::ZERO,
+            || world.arena.generation() >= 2,
+        );
+        let probe_task = world.os.task(1 + n_clients as u32);
+        let stale_probe = stale_ch
+            .client(&probe_task, 0, strategy)
+            .call_deadline(crate::Message::echo(0, 0.0), Duration::from_millis(250));
+
+        // Pinned accounting leg: wait out the normal clients, open the
+        // metrics window on the successor task, release the prober.
+        let cells = world.cells();
+        let metrics = world.os.metrics().expect("metrics on");
+        let mut window_start = None;
+        if prober {
+            wait_until(
+                "a client never finished against the successor",
+                Duration::from_millis(1),
+                || cells[..normal].iter().all(ProcCell::finalized),
+            );
+            window_start = Some(metrics.task_snapshot(0));
+            world.root().prober_go.v();
+        }
+
+        let (takeover, fsck_done, server_run) = join_one(successor);
+        let successor_window_sem_ops = window_start.map(|s0| {
+            let s1 = metrics.task_snapshot(0);
+            (s1.sem_p - s0.sem_p) + (s1.sem_v - s0.sem_v)
+        });
+        let exits = reap_all(clients, "takeover client");
+
+        ProcTakeoverResult {
+            kill_site,
+            server_exit,
+            recovery: fsck_done.duration_since(t_detect),
+            takeover,
+            server_run,
+            drop_retries: world.drop_retries(),
+            stale_probe,
+            exits,
+            messages: msgs_per_client * n_clients as u64,
+            client_metrics: world.client_metrics(),
+            prober_metrics: prober.then(|| cells[normal].snapshot()),
+            successor_window_sem_ops,
+        }
     }
 
     /// Results of one fault storm ([`run_proc_storm_experiment`]).
@@ -2575,7 +2397,7 @@ mod proc_harness {
     /// successor re-feeds the pidfd verdicts before serving so its first
     /// heartbeat scan re-reaps them.
     ///
-    /// Same fork discipline as [`run_proc_experiment`].
+    /// Same fork discipline as [`run_proc_echo`].
     pub fn run_proc_storm_experiment(
         strategy: WaitStrategy,
         n_clients: usize,
@@ -2592,54 +2414,24 @@ mod proc_harness {
                 "the doomed server must die before the survivors drain (site {site})"
             );
         }
-        // kill_site is only read by a forked server body; without one it
-        // is inert.
-        let (arena, os, channel, root) = build_takeover_world(
-            n_clients,
-            n_victims,
-            msgs_per_client,
-            kill_server_at.unwrap_or(0),
-            QueueKind::default(),
-            -1,
-            false,
-        );
-        let fd = arena.backing_fd().expect("memfd backing");
-
+        let shape = Shape {
+            n_victims: n_victims as u32,
+            kill_site: kill_server_at.unwrap_or(0),
+            ..Shape::new(n_clients, msgs_per_client)
+        };
+        let world = World::build(shape, QueueKind::default(), false, None);
+        let fd = world.fd;
         let mut children: Vec<ChildProc> = (0..n_clients as u32)
-            .map(|c| {
-                ChildProc::spawn(move || takeover_client_body(fd, c, strategy))
-                    .expect("fork client")
-            })
+            .map(|c| fork(move || client_body(fd, c, strategy)))
             .collect();
-        let doomed = kill_server_at.map(|_| {
-            ChildProc::spawn(move || takeover_server_body(fd, strategy)).expect("fork server")
-        });
-
-        let pr = arena.get(root);
-        let participants = n_clients + usize::from(doomed.is_some());
-        for _ in 0..participants {
-            assert!(
-                pr.ready.p_timeout(WATCHDOG_JOIN),
-                "a participant never reached the ready barrier"
-            );
-        }
+        let doomed = kill_server_at.map(|_| fork(move || doomed_server_body(fd, strategy)));
+        let has_doomed = doomed.is_some();
 
         // Plain storm: the parent itself is the (resilient) server; it
         // must be serving before the clients start.
-        let mut server_thread = None;
-        if doomed.is_none() {
-            let ch = channel.clone();
-            let t0 = os.task(0);
-            server_thread = Some(std::thread::spawn(move || {
-                crate::server::run_resilient_server(&ch, &t0, strategy, heartbeat, |m| m)
-            }));
-        }
-        for _ in 0..n_clients {
-            pr.go.v();
-        }
+        let mut server = (!has_doomed).then(|| world.serve("storm server", strategy, heartbeat));
+        world.release(n_clients + usize::from(has_doomed));
 
-        let cells = arena.get_slice(pr.cells);
-        let has_doomed = doomed.is_some();
         let mut server_exit = None;
         if let Some(d) = doomed {
             // Server-death-during-storm ordering: the doomed incarnation
@@ -2653,26 +2445,20 @@ mod proc_harness {
                 "doomed server never reached its kill site"
             );
             server_exit = Some(d.wait().expect("reap doomed server"));
-            let deadline = Instant::now() + WATCHDOG_JOIN;
-            for c in 0..n_clients as u32 {
-                while !channel.reply_queue(c).awake_down() {
-                    assert!(
-                        Instant::now() < deadline,
-                        "client {c} never quiesced after the server kill"
-                    );
-                    std::thread::yield_now();
-                }
-            }
+            world.quiesce(0..n_clients as u32, "after the server kill");
         } else {
             // Live-server storm: let every victim make real progress
             // first, so the kills land mid-conversation.
-            let deadline = Instant::now() + WATCHDOG_JOIN;
-            for (v, cell) in cells.iter().enumerate().take(n_victims) {
-                while cell.progress.load(Ordering::Relaxed) < STORM_KILL_PROGRESS {
-                    assert!(Instant::now() < deadline, "victim {v} never made progress");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
+            let cells = world.cells();
+            wait_until(
+                "a victim never made progress",
+                Duration::from_millis(1),
+                || {
+                    cells[..n_victims]
+                        .iter()
+                        .all(|cell| cell.progress.load(Ordering::Relaxed) >= STORM_KILL_PROGRESS)
+                },
+            );
         }
 
         // The mass kill, and race-free detection through each pidfd.
@@ -2686,31 +2472,25 @@ mod proc_harness {
                 "pidfd never signalled victim {i}'s death"
             );
         }
-        let monitor = os.task(1 + n_clients as u32);
 
         let mut takeover = None;
         let mut recovery = None;
         if has_doomed {
             let t_detect = Instant::now();
-            let tk = crate::recover::take_over(&channel, &os.task(0));
+            takeover = Some(crate::recover::take_over(&world.channel, &world.os.task(0)));
             recovery = Some(t_detect.elapsed());
-            takeover = Some(tk);
         }
         // Feed the corpses into the failure model — *after* any fsck,
         // whose fault-state reset revived their liveness words.
+        let monitor = world.os.task(1 + n_clients as u32);
         for v in 0..n_victims as u32 {
-            channel.reply_queue(v).mark_consumer_dead(&monitor);
+            world.channel.reply_queue(v).mark_consumer_dead(&monitor);
         }
         if has_doomed {
-            let ch = channel.clone();
-            let t0 = os.task(0);
-            server_thread = Some(std::thread::spawn(move || {
-                let _watch = crate::fault::ServerDeathWatch::arm(&ch, &t0);
-                crate::server::run_resilient_server(&ch, &t0, strategy, heartbeat, |m| m)
-            }));
+            server = Some(world.serve("storm successor server", strategy, heartbeat));
         }
 
-        let server_run = join_server(server_thread.expect("a server ran"), "storm server");
+        let server_run = join_one(server.expect("a server ran"));
         let victim_exits: Vec<ExitStatus> = victims
             .into_iter()
             .enumerate()
@@ -2720,22 +2500,7 @@ mod proc_harness {
                 e
             })
             .collect();
-        let survivor_exits: Vec<ExitStatus> = children
-            .into_iter()
-            .enumerate()
-            .map(|(i, child)| reap_child(child, &format!("storm survivor {i}")))
-            .collect();
-        for (i, e) in survivor_exits.iter().enumerate() {
-            assert!(e.success(), "storm survivor {i} failed: {e:?}");
-        }
-        let victim_poisoned = (0..n_victims as u32)
-            .map(|v| channel.reply_queue(v).is_poisoned())
-            .collect();
-        let drop_retries = arena
-            .get_slice(pr.retries)
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect();
+        let survivor_exits = reap_all(children, "storm survivor");
 
         ProcStormResult {
             n_victims,
@@ -2745,39 +2510,12 @@ mod proc_harness {
             takeover,
             recovery,
             server_run,
-            victim_poisoned,
-            drop_retries,
+            victim_poisoned: (0..n_victims as u32)
+                .map(|v| world.channel.reply_queue(v).is_poisoned())
+                .collect(),
+            drop_retries: world.drop_retries(),
             survivor_messages: survivors as u64 * msgs_per_client,
         }
-    }
-
-    /// The half-recoverer of the relay drill: attaches the inherited
-    /// segment and dies by its own SIGKILL **during recovery** — either
-    /// right after the generation bump (fsck never ran: the wreckage is
-    /// still the first server's) or right after the fsck (verdicts
-    /// issued, nothing served).
-    fn relay_recoverer_body(fd: i32, n_clients: usize, fsck: bool) -> i32 {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => Arc::new(a),
-            Err(_) => return EXIT_ATTACH_FAILED,
-        };
-        let root = match arena.root::<TakeoverRoot>() {
-            Some(r) => r,
-            None => return EXIT_NO_ROOT,
-        };
-        let pr = arena.get(root);
-        let os = NativeOs::attach_shared(
-            NativeConfig::for_clients(n_clients),
-            Arc::clone(&arena),
-            pr.sems,
-        );
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
-        if fsck {
-            let _ = crate::recover::take_over(&ch, &os.task(0));
-        } else {
-            arena.bump_generation();
-        }
-        crate::proc::raise_sigkill()
     }
 
     /// Results of one relay-takeover drill
@@ -2813,9 +2551,9 @@ mod proc_harness {
     /// half-mutated — the fsck idempotence property, exercised in anger.
     /// Every client still finishes its full barrage.
     ///
-    /// Same fork discipline as [`run_proc_experiment`]; the
-    /// half-recoverer is forked only after the first server's death, at
-    /// which point the parent has no threads yet.
+    /// Same fork discipline as [`run_proc_echo`]; the half-recoverer is
+    /// forked only after the first server's death, at which point the
+    /// parent has no threads yet.
     pub fn run_proc_relay_takeover_experiment(
         strategy: WaitStrategy,
         n_clients: usize,
@@ -2824,64 +2562,27 @@ mod proc_harness {
         fsck_before_death: bool,
     ) -> ProcRelayResult {
         assert!(n_clients >= 1 && kill_site < n_clients as u64 * msgs_per_client);
-        let (arena, os, channel, root) = build_takeover_world(
-            n_clients,
-            0,
-            msgs_per_client,
+        let shape = Shape {
             kill_site,
-            QueueKind::default(),
-            -1,
-            false,
-        );
-        let fd = arena.backing_fd().expect("memfd backing");
-
+            ..Shape::new(n_clients, msgs_per_client)
+        };
+        let world = World::build(shape, QueueKind::default(), false, None);
+        let fd = world.fd;
         let clients: Vec<ChildProc> = (0..n_clients as u32)
-            .map(|c| {
-                ChildProc::spawn(move || takeover_client_body(fd, c, strategy))
-                    .expect("fork client")
-            })
+            .map(|c| fork(move || client_body(fd, c, strategy)))
             .collect();
-        let doomed =
-            ChildProc::spawn(move || takeover_server_body(fd, strategy)).expect("fork server");
-
-        let pr = arena.get(root);
-        for _ in 0..=n_clients {
-            assert!(
-                pr.ready.p_timeout(WATCHDOG_JOIN),
-                "a participant never reached the ready barrier"
-            );
-        }
-        for _ in 0..n_clients {
-            pr.go.v();
-        }
+        let doomed = fork(move || doomed_server_body(fd, strategy));
+        world.release(n_clients + 1);
         assert!(
             doomed.dead_within(WATCHDOG_JOIN),
             "first server never reached kill site {kill_site}"
         );
         let server_exit = doomed.wait().expect("reap first server");
-
-        let quiesce = |what: &str| {
-            let deadline = Instant::now() + WATCHDOG_JOIN;
-            let cells = arena.get_slice(pr.cells);
-            for c in 0..n_clients as u32 {
-                while cells[c as usize].state.load(Ordering::Acquire) == 0
-                    && !channel.reply_queue(c).awake_down()
-                {
-                    assert!(
-                        Instant::now() < deadline,
-                        "client {c} never quiesced {what}"
-                    );
-                    std::thread::yield_now();
-                }
-            }
-        };
-        quiesce("after the first kill");
+        world.quiesce(0..n_clients as u32, "after the first kill");
 
         // The half-recoverer: forked (the parent is still threadless),
         // dies by its own hand mid-recovery.
-        let recoverer =
-            ChildProc::spawn(move || relay_recoverer_body(fd, n_clients, fsck_before_death))
-                .expect("fork recoverer");
+        let recoverer = fork(move || relay_recoverer_body(fd, fsck_before_death));
         assert!(
             recoverer.dead_within(WATCHDOG_JOIN),
             "half-recoverer never died"
@@ -2895,40 +2596,14 @@ mod proc_harness {
         );
         // If it fscked, clients it dropped are awake and re-enqueueing
         // right now; wait for them to park again.
-        quiesce("after the half-recovery");
+        world.quiesce(0..n_clients as u32, "after the half-recovery");
 
-        let takeover = crate::recover::take_over(&channel, &os.task(0));
+        let takeover = crate::recover::take_over(&world.channel, &world.os.task(0));
         let recovery = t_detect.elapsed();
-        let final_generation = arena.generation();
-        let server_run = {
-            let ch = channel.clone();
-            let t0 = os.task(0);
-            let handle = std::thread::spawn(move || {
-                let _watch = crate::fault::ServerDeathWatch::arm(&ch, &t0);
-                crate::server::run_resilient_server(
-                    &ch,
-                    &t0,
-                    strategy,
-                    Duration::from_millis(5),
-                    |m| m,
-                )
-            });
-            join_server(handle, "relay successor")
-        };
-
-        let exits: Vec<ExitStatus> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(c, child)| reap_child(child, &format!("relay client {c}")))
-            .collect();
-        for (c, e) in exits.iter().enumerate() {
-            assert!(e.success(), "relay client {c} failed: {e:?}");
-        }
-        let drop_retries = arena
-            .get_slice(pr.retries)
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect();
+        let final_generation = world.arena.generation();
+        let server_run =
+            join_one(world.serve("relay successor server", strategy, Duration::from_millis(5)));
+        let exits = reap_all(clients, "relay client");
 
         ProcRelayResult {
             server_exit,
@@ -2938,196 +2613,8 @@ mod proc_harness {
             final_generation,
             server_run,
             recovery,
-            drop_retries,
+            drop_retries: world.drop_retries(),
             exits,
-        }
-    }
-
-    fn run_proc_takeover_opts(
-        strategy: WaitStrategy,
-        n_clients: usize,
-        msgs_per_client: u64,
-        kill_site: u64,
-        queue_kind: QueueKind,
-        opts: TakeoverOpts,
-    ) -> ProcTakeoverResult {
-        assert!(n_clients >= 1);
-        let normal = if opts.prober {
-            n_clients - 1
-        } else {
-            n_clients
-        };
-        assert!(
-            normal >= 1 && kill_site < normal as u64 * msgs_per_client,
-            "the doomed server must die mid-barrage (site {kill_site})"
-        );
-        let (arena, os, channel, root) = build_takeover_world(
-            n_clients,
-            0,
-            msgs_per_client,
-            kill_site,
-            queue_kind,
-            opts.pin_cpu,
-            opts.prober,
-        );
-        let fd = arena.backing_fd().expect("memfd backing");
-
-        let clients: Vec<ChildProc> = (0..n_clients as u32)
-            .map(|c| {
-                ChildProc::spawn(move || takeover_client_body(fd, c, strategy))
-                    .expect("fork client")
-            })
-            .collect();
-        let doomed =
-            ChildProc::spawn(move || takeover_server_body(fd, strategy)).expect("fork server");
-
-        let pr = arena.get(root);
-        for _ in 0..=n_clients {
-            assert!(
-                pr.ready.p_timeout(WATCHDOG_JOIN),
-                "a participant never reached the ready barrier"
-            );
-        }
-        for _ in 0..n_clients {
-            pr.go.v();
-        }
-
-        // The doomed incarnation reaches its kill site and dies; the
-        // pidfd is the successor's death signal.
-        assert!(
-            doomed.dead_within(WATCHDOG_JOIN),
-            "doomed server never reached kill site {kill_site}"
-        );
-        let t_detect = Instant::now();
-        let server_exit = doomed.wait().expect("reap doomed server");
-
-        // Quiescence: with the server dead no replies flow, so within a
-        // bounded time every running client has committed its next
-        // request and parked in its reply wait (`awake` down) — after
-        // which its only remaining write is the `P` on its own
-        // semaphore, which the fsck leaves strictly alone for in-flight
-        // clients. The prober (if any) is parked on its gate.
-        let quiesce_deadline = Instant::now() + WATCHDOG_JOIN;
-        let cells_ref = arena.get_slice(pr.cells);
-        for c in 0..normal as u32 {
-            while cells_ref[c as usize].state.load(Ordering::Acquire) == 0
-                && !channel.reply_queue(c).awake_down()
-            {
-                assert!(
-                    Instant::now() < quiesce_deadline,
-                    "client {c} never quiesced after the kill"
-                );
-                std::thread::yield_now();
-            }
-        }
-
-        // A handle stamped under the dead generation, for the staleness
-        // probe below.
-        let stale_ch = Channel::from_root(Arc::clone(&arena), pr.channel);
-
-        // The successor: bump + fsck + re-arm + serve, on its own thread
-        // so the parent can probe staleness and orchestrate the pinned
-        // accounting window.
-        let successor = {
-            let ch = channel.clone();
-            let os0 = os.task(0);
-            let pin = opts.pin_cpu;
-            let heartbeat = opts.heartbeat;
-            std::thread::spawn(move || {
-                if pin >= 0 {
-                    crate::proc::pin_to_cpu(pin as usize).expect("pin successor");
-                    crate::proc::set_sched_batch().expect("batch successor");
-                }
-                let takeover = crate::recover::take_over(&ch, &os0);
-                let fsck_done = Instant::now();
-                let _watch = crate::fault::ServerDeathWatch::arm(&ch, &os0);
-                let run =
-                    crate::server::run_resilient_server(&ch, &os0, strategy, heartbeat, |m| m);
-                (takeover, fsck_done, run)
-            })
-        };
-
-        // Staleness probe, deliberately racing the fsck: the generation
-        // bump alone must fence this handle — the call fails fast with a
-        // local stamp check before touching any queue.
-        while arena.generation() < 2 {
-            std::thread::yield_now();
-        }
-        let probe_task = os.task(1 + n_clients as u32);
-        let stale_probe = stale_ch
-            .client(&probe_task, 0, strategy)
-            .call_deadline(crate::Message::echo(0, 0.0), Duration::from_millis(250));
-
-        // Pinned accounting leg: wait out the normal clients, open the
-        // metrics window on the successor task, release the prober.
-        let mut window_start = None;
-        if opts.prober {
-            let deadline = Instant::now() + WATCHDOG_JOIN;
-            for (c, cell) in cells_ref.iter().enumerate().take(normal) {
-                while cell.state.load(Ordering::Acquire) == 0 {
-                    assert!(
-                        Instant::now() < deadline,
-                        "client {c} never finished against the successor"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            window_start = Some(os.metrics().expect("metrics on").task_snapshot(0));
-            pr.prober_go.v();
-        }
-
-        let (takeover, fsck_done, server_run) = join_server(successor, "takeover successor");
-        let successor_window_sem_ops = window_start.map(|s0| {
-            let s1 = os.metrics().expect("metrics on").task_snapshot(0);
-            (s1.sem_p - s0.sem_p) + (s1.sem_v - s0.sem_v)
-        });
-
-        let exits: Vec<ExitStatus> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(c, child)| reap_child(child, &format!("takeover client {c}")))
-            .collect();
-        for (c, e) in exits.iter().enumerate() {
-            assert!(e.success(), "takeover client {c} failed: {e:?}");
-        }
-
-        let mut client_metrics = MetricsSnapshot::default();
-        let mut prober_metrics = None;
-        for (c, cell) in cells_ref.iter().enumerate() {
-            assert_eq!(
-                cell.state.load(Ordering::Acquire),
-                1,
-                "cell {c} not finalized"
-            );
-            let mut a = [0u64; N_EVENTS];
-            for (dst, src) in a.iter_mut().zip(cell.events.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            let snap = MetricsSnapshot::from_array(&a);
-            if opts.prober && c == normal {
-                prober_metrics = Some(snap);
-            }
-            client_metrics = client_metrics.add(&snap);
-        }
-        let drop_retries: Vec<u64> = arena
-            .get_slice(pr.retries)
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect();
-
-        ProcTakeoverResult {
-            kill_site,
-            server_exit,
-            recovery: fsck_done.duration_since(t_detect),
-            takeover,
-            server_run,
-            drop_retries,
-            stale_probe,
-            exits,
-            messages: msgs_per_client * n_clients as u64,
-            client_metrics,
-            prober_metrics,
-            successor_window_sem_ops,
         }
     }
 }
@@ -3137,9 +2624,7 @@ mod proc_harness {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 pub use proc_harness::{
-    run_proc_experiment, run_proc_experiment_pinned, run_proc_experiment_pinned_queue,
-    run_proc_experiment_pinned_telemetry, run_proc_kill_experiment, run_proc_observed_experiment,
-    run_proc_relay_takeover_experiment, run_proc_storm_experiment, run_proc_takeover_experiment,
-    run_proc_takeover_pinned_experiment, ProcExperimentResult, ProcKillResult, ProcRelayResult,
-    ProcStormResult, ProcTakeoverResult,
+    run_proc_echo, run_proc_kill_experiment, run_proc_relay_takeover_experiment,
+    run_proc_storm_experiment, run_proc_takeover_experiment, ProcEcho, ProcEchoResult,
+    ProcKillResult, ProcRelayResult, ProcStormResult, ProcTakeoverResult,
 };

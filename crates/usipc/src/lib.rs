@@ -84,7 +84,7 @@ pub use channel::{
 };
 pub use duplex::{duplex_client_sem, duplex_server_sem, DuplexChannel, DuplexPair, DuplexRoot};
 pub use fault::{DeathWatch, FaultAction, FaultPlan, IpcError, ServerDeathWatch};
-pub use metrics::{EndpointMetrics, LatencySnapshot, MetricsRegistry, MetricsSnapshot, ProtoEvent};
+pub use metrics::{EndpointMetrics, MetricsRegistry, MetricsSnapshot, ProtoEvent};
 pub use msg::{opcode, Message, MsgSlot};
 pub use native::{NativeConfig, NativeMsgq, NativeOs, NativeTask};
 pub use platform::{Cost, HandoffHint, OsServices};

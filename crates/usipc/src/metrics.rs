@@ -1,5 +1,5 @@
 //! Protocol-event metrics: lock-free per-endpoint counters and round-trip
-//! latency histograms.
+//! latency sketches.
 //!
 //! The paper's entire argument is an *accounting* argument — BSW loses
 //! because it pays "four system calls per round trip" (Fig. 6, Table 1),
@@ -8,8 +8,8 @@
 //! instrumentation instead of hand-counting: every protocol-visible event
 //! (queue ops, semaphore calls, yields, spins, blocks, stray wake-ups,
 //! hand-offs) increments a `Relaxed` atomic counter on the endpoint's
-//! [`EndpointMetrics`], and synchronous round trips feed a log₂-bucketed
-//! latency histogram.
+//! [`EndpointMetrics`], and synchronous round trips feed a log-linear
+//! latency sketch (the telemetry plane's [`SketchSnapshot`] cells).
 //!
 //! Cost model: recording one event is a single uncontended `fetch_add`
 //! with `Relaxed` ordering (one `lock xadd` on x86, no fence on ARM); when
@@ -22,6 +22,7 @@
 //! accounting (e.g. "system calls per round trip over this barrage" =
 //! `end.diff(start).sem_ops() / messages`).
 
+use crate::telemetry::{sketch_cell, SketchSnapshot, N_SKETCH_CELLS};
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -213,17 +214,28 @@ impl ProtoEvent {
 
 const EVENTS: [ProtoEvent; N_EVENTS] = ProtoEvent::ALL;
 
-/// Number of log₂ latency buckets: bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` nanoseconds, the last bucket absorbs everything ≥ ~9 s.
-pub const N_LATENCY_BUCKETS: usize = 34;
-
-/// Lock-free event counters and a latency histogram for one endpoint
-/// (task). All writes are `Relaxed` `fetch_add`s; reads produce a
-/// [`MetricsSnapshot`].
-#[derive(Debug, Default)]
+/// Lock-free event counters and a round-trip latency sketch for one
+/// endpoint (task). All writes are `Relaxed` `fetch_add`s; reads produce a
+/// [`MetricsSnapshot`] and a [`SketchSnapshot`].
+///
+/// The latency cells are the same 34×4 log-linear cells as the telemetry
+/// plane's sketch, so every latency read in the crate has one resolution
+/// (within [`SKETCH_MAX_RELATIVE_ERROR`](crate::telemetry::SKETCH_MAX_RELATIVE_ERROR)).
+#[derive(Debug)]
 pub struct EndpointMetrics {
     counters: [AtomicU64; N_EVENTS],
-    latency: LatencyHistogram,
+    latency: [AtomicU64; N_SKETCH_CELLS],
+    latency_sum: AtomicU64,
+}
+
+impl Default for EndpointMetrics {
+    fn default() -> Self {
+        EndpointMetrics {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency_sum: AtomicU64::new(0),
+        }
+    }
 }
 
 impl EndpointMetrics {
@@ -238,10 +250,13 @@ impl EndpointMetrics {
         self.counters[e as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a synchronous round-trip latency.
+    /// Records a synchronous round-trip latency: two `Relaxed`
+    /// `fetch_add`s (its cell and the sum); the count is derived from the
+    /// cells at snapshot time.
     #[inline]
     pub fn record_latency_nanos(&self, nanos: u64) {
-        self.latency.record(nanos);
+        self.latency[sketch_cell(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.latency_sum.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of every counter.
@@ -253,112 +268,17 @@ impl EndpointMetrics {
         s
     }
 
-    /// Point-in-time copy of the latency histogram.
-    pub fn latency_snapshot(&self) -> LatencySnapshot {
-        self.latency.snapshot()
-    }
-}
-
-/// A log₂-bucketed histogram of nanosecond samples (lock-free, `Relaxed`).
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; N_LATENCY_BUCKETS],
-    sum: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-fn bucket_of(nanos: u64) -> usize {
-    // floor(log2(nanos)) clamped into range; 0 ns shares bucket 0 with 1 ns.
-    (63 - nanos.max(1).leading_zeros() as usize).min(N_LATENCY_BUCKETS - 1)
-}
-
-impl LatencyHistogram {
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let mut s = LatencySnapshot {
-            buckets: [0; N_LATENCY_BUCKETS],
-            sum_nanos: self.sum.load(Ordering::Relaxed),
+    /// Point-in-time copy of the latency sketch.
+    pub fn latency_snapshot(&self) -> SketchSnapshot {
+        let mut s = SketchSnapshot {
+            sum_nanos: self.latency_sum.load(Ordering::Relaxed),
+            ..SketchSnapshot::default()
         };
-        for (dst, src) in s.buckets.iter_mut().zip(&self.buckets) {
+        for (dst, src) in s.cells.iter_mut().zip(&self.latency) {
             *dst = src.load(Ordering::Relaxed);
         }
+        s.count = s.cells.iter().sum();
         s
-    }
-}
-
-/// Plain-`u64` copy of a latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` ns.
-    pub buckets: [u64; N_LATENCY_BUCKETS],
-    /// Sum of all recorded samples (for exact means).
-    pub sum_nanos: u64,
-}
-
-impl Default for LatencySnapshot {
-    fn default() -> Self {
-        LatencySnapshot {
-            buckets: [0; N_LATENCY_BUCKETS],
-            sum_nanos: 0,
-        }
-    }
-}
-
-impl LatencySnapshot {
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Exact mean in microseconds (`NaN` when empty).
-    pub fn mean_us(&self) -> f64 {
-        self.sum_nanos as f64 / 1e3 / self.count() as f64
-    }
-
-    /// Estimate of the `q`-quantile in microseconds (`NaN` when empty):
-    /// the *geometric midpoint* `2^(i+1/2)` of the bucket `[2^i, 2^(i+1))`
-    /// containing the quantile sample. Because the true sample lies
-    /// somewhere in that bucket, the estimate is within a factor of √2 of
-    /// it in either direction (the bucket's upper edge, by contrast,
-    /// overstates by up to 2×).
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return f64::NAN;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (1u64 << i) as f64 * core::f64::consts::SQRT_2 / 1e3;
-            }
-        }
-        f64::NAN
-    }
-
-    /// Element-wise accumulation (merging per-task histograms).
-    pub fn merge(mut self, other: &LatencySnapshot) -> LatencySnapshot {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum_nanos += other.sum_nanos;
-        self
     }
 }
 
@@ -567,8 +487,8 @@ impl MetricsRegistry {
             .unwrap_or_default()
     }
 
-    /// Snapshot of one task's latency histogram.
-    pub fn task_latency(&self, task_id: u32) -> LatencySnapshot {
+    /// Snapshot of one task's latency sketch.
+    pub fn task_latency(&self, task_id: u32) -> SketchSnapshot {
         self.tasks
             .lock()
             .unwrap()
@@ -589,14 +509,14 @@ impl MetricsRegistry {
             })
     }
 
-    /// Merged latency histogram over every task matching `keep`.
-    pub fn aggregate_latency(&self, mut keep: impl FnMut(u32) -> bool) -> LatencySnapshot {
+    /// Merged latency sketch over every task matching `keep`.
+    pub fn aggregate_latency(&self, mut keep: impl FnMut(u32) -> bool) -> SketchSnapshot {
         self.tasks
             .lock()
             .unwrap()
             .iter()
             .filter(|(&id, _)| keep(id))
-            .fold(LatencySnapshot::default(), |acc, (_, m)| {
+            .fold(SketchSnapshot::default(), |acc, (_, m)| {
                 acc.merge(&m.latency_snapshot())
             })
     }
@@ -655,53 +575,38 @@ mod tests {
     }
 
     #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), N_LATENCY_BUCKETS - 1);
-    }
-
-    #[test]
     fn latency_mean_and_quantiles() {
-        let h = LatencyHistogram::default();
+        let m = EndpointMetrics::new();
         for _ in 0..99 {
-            h.record(1_000); // bucket 9: [512, 1024)
+            m.record_latency_nanos(1_000);
         }
-        h.record(1 << 20); // ~1 ms outlier
-        let s = h.snapshot();
-        assert_eq!(s.count(), 100);
+        m.record_latency_nanos(1 << 20); // ~1 ms outlier
+        let s = m.latency_snapshot();
+        assert_eq!(s.count, 100);
         let mean = s.mean_us();
         assert!(mean > 1.0 && mean < 12.0, "{mean}");
-        // p50 lands in bucket 9 = [512, 1024) ns; the geometric midpoint is
-        // 512·√2 ≈ 724 ns = 0.724 µs, within √2 of the true 1.000 µs.
+        let err = crate::telemetry::SKETCH_MAX_RELATIVE_ERROR;
         let p50 = s.quantile_us(0.5);
-        assert!((p50 - 0.724).abs() < 1e-3, "{p50}");
-        let sqrt2 = core::f64::consts::SQRT_2;
-        assert!((1.0 / sqrt2..=sqrt2).contains(&p50));
-        // p100 reaches the outlier's bucket [2^20, 2^21) ns; its midpoint
-        // 2^20·√2 ns ≈ 1.48 ms is within √2 of the true ~1.05 ms.
-        let p100 = s.quantile_us(1.0);
-        assert!(p100 > 1_000.0 && p100 < 2_100.0, "{p100}");
+        assert!((p50 - 1.0).abs() <= err, "{p50}");
+        let p100 = s.quantile_us(1.0) * 1e3;
+        assert!((p100 - (1u64 << 20) as f64).abs() / (1u64 << 20) as f64 <= err);
     }
 
     #[test]
     fn latency_merge_accumulates() {
-        let a = LatencyHistogram::default();
-        let b = LatencyHistogram::default();
-        a.record(100);
-        b.record(100);
-        b.record(200);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count(), 3);
+        let reg = MetricsRegistry::new();
+        reg.for_task(1).record_latency_nanos(100);
+        reg.for_task(2).record_latency_nanos(100);
+        reg.for_task(2).record_latency_nanos(200);
+        let merged = reg.aggregate_latency(|_| true);
+        assert_eq!(merged.count, 3);
         assert_eq!(merged.sum_nanos, 400);
+        assert_eq!(reg.task_latency(2).count, 2);
     }
 
     #[test]
     fn empty_latency_is_nan_not_panic() {
-        let s = LatencySnapshot::default();
+        let s = MetricsRegistry::new().task_latency(0);
         assert!(s.mean_us().is_nan());
         assert!(s.quantile_us(0.5).is_nan());
     }

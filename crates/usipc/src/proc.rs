@@ -285,10 +285,14 @@ pub fn raise_sigkill() -> ! {
 }
 
 /// A forked child process, watched through a pidfd.
+///
+/// A handle dropped before [`wait`](Self::wait) reaped the child kills
+/// and reaps it, so a panicking drill cannot leave children running.
 #[derive(Debug)]
 pub struct ChildProc {
     pid: i32,
     pidfd: i32,
+    reaped: bool,
 }
 
 impl ChildProc {
@@ -344,6 +348,7 @@ impl ChildProc {
         Ok(ChildProc {
             pid,
             pidfd: fd as i32,
+            reaped: false,
         })
     }
 
@@ -407,7 +412,7 @@ impl ChildProc {
     /// Blocking `wait4`: reaps the child and decodes its status. Consumes
     /// the handle (a reaped pid must not be waited on again) and closes
     /// the pidfd.
-    pub fn wait(self) -> Result<ExitStatus, ProcError> {
+    pub fn wait(mut self) -> Result<ExitStatus, ProcError> {
         let mut status: i32 = 0;
         // SAFETY: `status` is live across the call; rusage = NULL.
         let ret = unsafe {
@@ -420,10 +425,11 @@ impl ChildProc {
                 0,
             )
         };
-        // Drop closes the pidfd.
+        // Drop closes the pidfd (and kills + reaps if wait4 failed).
         if ret < 0 {
             return Err(err("wait4", ret));
         }
+        self.reaped = true;
         // WIFEXITED / WIFSIGNALED decoding, as in <sys/wait.h>.
         if status & 0x7f == 0 {
             Ok(ExitStatus::Exited((status >> 8) & 0xff))
@@ -435,6 +441,13 @@ impl ChildProc {
 
 impl Drop for ChildProc {
     fn drop(&mut self) {
+        if !self.reaped {
+            self.kill();
+            // SAFETY: wait4 on our own child; status/rusage = NULL.
+            unsafe {
+                syscall5(nr::WAIT4, self.pid as usize, 0, 0, 0, 0);
+            }
+        }
         // SAFETY: the pidfd is owned by self and closed exactly once.
         unsafe {
             syscall2(nr::CLOSE, self.pidfd as usize, 0);
@@ -468,6 +481,26 @@ mod tests {
             "pidfd must signal death after SIGKILL"
         );
         assert_eq!(child.wait().unwrap(), ExitStatus::Signaled(9));
+    }
+
+    #[test]
+    fn dropped_child_is_killed_and_reaped() {
+        let child = ChildProc::spawn(|| loop {
+            std::thread::sleep(Duration::from_millis(50));
+        })
+        .unwrap();
+        let pid = child.pid();
+        drop(child);
+        // kill(pid, 0) succeeds for a live process *and* for an unreaped
+        // zombie; only a reaped pid answers ESRCH.
+        // SAFETY: signal 0 delivers nothing.
+        let alive = unsafe { syscall2(nr::KILL, pid as usize, 0) } == 0;
+        if alive {
+            // Do not leak the endless child when the assertion fails.
+            // SAFETY: as above; SIGKILL to a pid this test forked.
+            unsafe { syscall2(nr::KILL, pid as usize, SIGKILL) };
+        }
+        assert!(!alive, "dropped child {pid} is still running or a zombie");
     }
 
     #[test]

@@ -654,6 +654,50 @@ mod tests {
         assert_eq!(run.processed, 1);
     }
 
+    /// A client whose session ended under the dead incarnation never says
+    /// goodbye again: the successor must finish once the others have.
+    #[test]
+    fn successor_does_not_wait_for_a_client_that_already_disconnected() {
+        let ch = Channel::create(&ChannelConfig::new(2)).unwrap();
+        let os = os_for(2);
+        let t0 = os.task(0);
+        // The first incarnation takes client 0's goodbye, then dies in
+        // its handler on client 1's echo.
+        assert!(ch.receive_queue().try_enqueue(&t0, Message::disconnect(0)));
+        assert!(ch.receive_queue().try_enqueue(&t0, Message::echo(1, 1.0)));
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_resilient_server(&ch, &t0, WaitStrategy::Bsw, Duration::from_millis(5), |m| {
+                if m.channel == 1 {
+                    panic!("injected fault: first incarnation dies mid-handler");
+                }
+                m
+            })
+        }));
+        assert!(first.is_err());
+        // Client 1 re-issues and says goodbye to the successor.
+        assert!(ch.receive_queue().try_enqueue(&t0, Message::disconnect(1)));
+
+        let successor = {
+            let ch = ch.clone();
+            let os = std::sync::Arc::clone(&os);
+            std::thread::spawn(move || {
+                let t = os.task(0);
+                take_over_and_serve(&ch, &t, WaitStrategy::Bsw, Duration::from_millis(5), |m| m)
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !successor.is_finished() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            successor.is_finished(),
+            "successor still waits for client 0's second goodbye"
+        );
+        let (_, run) = successor.join().unwrap();
+        assert_eq!(run.disconnects, 1);
+        assert_eq!(run.reaped, 0);
+    }
+
     /// End-to-end in-process takeover with a genuinely parked client: its
     /// request was committed before the crash, it is blocked in the
     /// paper's wait loop, and the successor's takeover serves it without

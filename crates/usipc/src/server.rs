@@ -157,9 +157,11 @@ pub fn run_resilient_server_observed<O: OsServices>(
     ch.register_server_task(os.task_id());
     let n = ch.n_clients();
     // A client is "gone" once disconnected *or* reaped; each decrements
-    // `live` exactly once, whichever order deaths and scans land in.
-    let mut gone = vec![false; n as usize];
-    let mut live = n;
+    // `live` exactly once, whichever order deaths and scans land in. A
+    // successor starts with the clients that already said goodbye to a
+    // dead incarnation gone: they will never disconnect again.
+    let mut gone: Vec<bool> = (0..n).map(|c| ch.reply_queue(c).departed()).collect();
+    let mut live = gone.iter().filter(|&&g| !g).count() as u32;
     let mut run = ServerRun::default();
     let mut postmortem: Option<String> = None;
     let start = task_snapshot(os);
@@ -231,6 +233,9 @@ pub fn run_resilient_server_observed<O: OsServices>(
         }
         if m.opcode == opcode::DISCONNECT {
             run.disconnects += 1;
+            // Before the reply: once the client has it, its session is
+            // over even if this incarnation dies right after.
+            ch.reply_queue(m.channel).mark_departed();
             if !gone[m.channel as usize] {
                 gone[m.channel as usize] = true;
                 live -= 1;

@@ -92,9 +92,8 @@ impl Role {
     }
 }
 
-/// Number of log₂ major buckets in the latency sketch (same span as
-/// [`N_LATENCY_BUCKETS`](crate::metrics::N_LATENCY_BUCKETS): bucket 33
-/// absorbs everything ≥ ~8.6 s).
+/// Number of log₂ major buckets in the latency sketch (bucket 33 absorbs
+/// everything ≥ ~8.6 s).
 pub const SKETCH_MAJORS: usize = 34;
 /// Linear sub-buckets per major: 2 extra mantissa bits of resolution.
 pub const SKETCH_MINORS: usize = 4;
@@ -111,7 +110,7 @@ pub const SKETCH_MAX_RELATIVE_ERROR: f64 = 0.1181;
 /// Cell index of a nanosecond sample: which quarter of its log₂ bucket
 /// `[2^m, 2^(m+1))` the sample falls in. Samples at or above `2^33` ns
 /// collapse into the top major's cells.
-fn sketch_cell(nanos: u64) -> usize {
+pub(crate) fn sketch_cell(nanos: u64) -> usize {
     let n = nanos.max(1);
     let major = (63 - n.leading_zeros() as usize).min(SKETCH_MAJORS - 1);
     let off = n - (1u64 << major);
@@ -178,6 +177,16 @@ impl SketchSnapshot {
             }
         }
         f64::NAN
+    }
+
+    /// Cell-wise sum (merging per-task sketches).
+    pub fn merge(mut self, other: &SketchSnapshot) -> SketchSnapshot {
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
+        self
     }
 
     /// `self - earlier`, cell-wise: the samples of a measurement window

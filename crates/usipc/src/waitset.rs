@@ -804,7 +804,7 @@ impl<O: OsServices> MuxClient<'_, O> {
     }
 
     /// Synchronous `Send` through the client's shard. Feeds the
-    /// round-trip latency histogram when the backend collects metrics,
+    /// round-trip latency sketch when the backend collects metrics,
     /// like [`ClientEndpoint::call`](crate::ClientEndpoint::call).
     pub fn call(&self, mut msg: Message) -> Message {
         msg.channel = 0;

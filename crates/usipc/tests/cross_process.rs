@@ -16,9 +16,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use usipc::harness::{
-    run_proc_experiment, run_proc_experiment_pinned, run_proc_kill_experiment,
-    run_proc_relay_takeover_experiment, run_proc_storm_experiment, run_proc_takeover_experiment,
-    run_proc_takeover_pinned_experiment, ProcTakeoverResult,
+    run_proc_echo, run_proc_kill_experiment, run_proc_relay_takeover_experiment,
+    run_proc_storm_experiment, run_proc_takeover_experiment, ProcEcho, ProcTakeoverResult,
 };
 use usipc::{ChildProc, CountingSem, ExitStatus, IpcError, QueueKind, WaitStrategy};
 use usipc_queue::{RingMode, RingReclaim, ShmQueue, ShmRing};
@@ -64,7 +63,7 @@ fn two_process_echo_per_protocol() {
         WaitStrategy::HandoffBswy,
     ];
     for strategy in strategies {
-        let run = run_proc_experiment(strategy, 1, MSGS);
+        let run = run_proc_echo(&ProcEcho::new(strategy, 1, MSGS));
         assert_eq!(run.messages, MSGS, "{strategy:?}");
         assert!(
             run.exits.iter().all(|e| e.success()),
@@ -104,7 +103,7 @@ fn two_process_echo_per_protocol() {
 
     // Multi-client sanity: three children share the segment and the
     // server; everyone completes and every sample comes home.
-    let run = run_proc_experiment(WaitStrategy::Bsw, 3, MSGS);
+    let run = run_proc_echo(&ProcEcho::new(WaitStrategy::Bsw, 3, MSGS));
     assert_eq!(run.messages, 3 * MSGS);
     assert_eq!(run.server_run.disconnects, 3);
     assert_eq!(run.client_samples.len(), run.messages as usize);
@@ -124,7 +123,10 @@ fn bsw_is_exactly_four_sem_ops_per_rt_uniprocessor() {
     let mut best = 0u64;
     let rt = MSGS + 1;
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned(WaitStrategy::Bsw, 1, MSGS, 0);
+        let run = run_proc_echo(&ProcEcho {
+            pin_cpu: Some(0),
+            ..ProcEcho::new(WaitStrategy::Bsw, 1, MSGS)
+        });
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -686,8 +688,14 @@ fn check_takeover(run: &ProcTakeoverResult, site: u64, n: u64, active: u64) {
 /// the survivors alongside the dropped window.
 fn takeover_drill_two_lock() {
     for site in [0u64, 7, 23] {
-        let run =
-            run_proc_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, site, QueueKind::TwoLock);
+        let run = run_proc_takeover_experiment(
+            WaitStrategy::Bsw,
+            3,
+            MSGS,
+            site,
+            QueueKind::TwoLock,
+            None,
+        );
         check_takeover(&run, site, 3, 3);
     }
 }
@@ -695,7 +703,7 @@ fn takeover_drill_two_lock() {
 /// The same drill over the lock-free ring — the fsck path with hole
 /// retirement instead of lock breaking.
 fn takeover_drill_ring() {
-    let run = run_proc_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, 7, QueueKind::Ring);
+    let run = run_proc_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, 7, QueueKind::Ring, None);
     check_takeover(&run, 7, 3, 3);
 }
 
@@ -711,7 +719,14 @@ fn takeover_bsw_is_exactly_four_sem_ops_pinned() {
     let rt = MSGS + 1;
     let mut seen = Vec::new();
     for _ in 0..5 {
-        let run = run_proc_takeover_pinned_experiment(WaitStrategy::Bsw, MSGS, 3, 0);
+        let run = run_proc_takeover_experiment(
+            WaitStrategy::Bsw,
+            2,
+            MSGS,
+            3,
+            QueueKind::default(),
+            Some(0),
+        );
         check_takeover(&run, 3, 2, 1);
         let cl = run.prober_metrics.expect("pinned drill runs a prober");
         let sv = run

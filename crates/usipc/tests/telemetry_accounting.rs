@@ -21,13 +21,20 @@
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 
-use usipc::harness::{
-    run_proc_experiment_pinned, run_proc_experiment_pinned_queue,
-    run_proc_experiment_pinned_telemetry, run_proc_observed_experiment,
-};
+use usipc::harness::{run_proc_echo, ProcEcho, ProcEchoResult};
 use usipc::{ExitStatus, QueueKind, Role, WaitStrategy};
 
 const MSGS: u64 = 200;
+
+/// The paper's uniprocessor regime: BSW, one client, everyone on CPU 0.
+fn pinned_bsw(telemetry: bool, queue_kind: QueueKind) -> ProcEchoResult {
+    run_proc_echo(&ProcEcho {
+        pin_cpu: Some(0),
+        telemetry,
+        queue_kind,
+        ..ProcEcho::new(WaitStrategy::Bsw, 1, MSGS)
+    })
+}
 
 #[test]
 fn telemetry_is_free_and_externally_readable() {
@@ -53,7 +60,7 @@ fn bsw_still_exactly_four_sem_ops_with_telemetry_on() {
     let mut best = 0u64;
     let rt = MSGS + 1; // the disconnect handshake round-trips too
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned_telemetry(WaitStrategy::Bsw, 1, MSGS, 0);
+        let run = pinned_bsw(true, QueueKind::default());
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -102,7 +109,7 @@ fn bsw_still_exactly_four_sem_ops_on_the_ring_queue() {
     let mut best = 0u64;
     let rt = MSGS + 1;
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned_queue(WaitStrategy::Bsw, 1, MSGS, 0, QueueKind::Ring);
+        let run = pinned_bsw(false, QueueKind::Ring);
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -131,8 +138,8 @@ fn bsw_still_exactly_four_sem_ops_on_the_ring_queue() {
 /// back off — and the plane must not add a crossing of its own).
 fn telemetry_and_bare_runs_share_the_same_kernel_budget() {
     let rt = MSGS + 1;
-    let bare = run_proc_experiment_pinned(WaitStrategy::Bsw, 1, MSGS, 0);
-    let observed = run_proc_experiment_pinned_telemetry(WaitStrategy::Bsw, 1, MSGS, 0);
+    let bare = pinned_bsw(false, QueueKind::default());
+    let observed = pinned_bsw(true, QueueKind::default());
     for (label, run) in [("bare", &bare), ("telemetry", &observed)] {
         let sem = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         let crossings =
@@ -158,7 +165,10 @@ fn telemetry_and_bare_runs_share_the_same_kernel_budget() {
 fn external_observer_reads_consistent_advancing_snapshots() {
     // A long enough barrage that the observer's attach (fork + mmap)
     // always lands while publications are still flowing.
-    let run = run_proc_observed_experiment(WaitStrategy::Bsw, 2, 5_000);
+    let run = run_proc_echo(&ProcEcho {
+        observer: true,
+        ..ProcEcho::new(WaitStrategy::Bsw, 2, 5_000)
+    });
     assert_eq!(
         run.observer_exit,
         Some(ExitStatus::Exited(0)),

@@ -16,7 +16,7 @@
 //! * tracing-disabled parity: enabling the trace layer does not change
 //!   the simulated schedule or any protocol counter.
 
-use usipc::harness::{run_native_experiment_traced, run_sim_experiment, Mechanism, SimExperiment};
+use usipc::harness::{run_sim_experiment, run_thread_echo, Mechanism, SimExperiment, ThreadEcho};
 use usipc::trace::{Span, TracePoint, TraceRecord, UnifiedTrace};
 use usipc::{ProtoEvent, WaitStrategy};
 use usipc_sim::{MachineModel, PolicyKind};
@@ -227,10 +227,12 @@ fn both_backends_export_valid_chrome_json_and_ascii_from_the_same_records() {
     assert!(!sim.records.is_empty());
     assert_valid_chrome_export(&sim, "sim");
 
-    let native =
-        run_native_experiment_traced(Mechanism::UserLevel(WaitStrategy::Bsw), 1, 30, Some(RING))
-            .trace
-            .expect("tracing enabled");
+    let native = run_thread_echo(&ThreadEcho {
+        trace_capacity: Some(RING),
+        ..ThreadEcho::new(Mechanism::UserLevel(WaitStrategy::Bsw), 1, 30)
+    })
+    .trace
+    .expect("tracing enabled");
     assert!(!native.records.is_empty());
     assert_valid_chrome_export(&native, "native");
 }

@@ -16,13 +16,27 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use usipc::harness::{run_native_fault_experiment, ClientFaultOutcome};
+use usipc::harness::{
+    run_thread_echo, CallPath, ClientFaultOutcome, Mechanism, ThreadEcho, ThreadEchoResult,
+};
 use usipc::scenarios::{FaultScenario, PeerDeathScenario, NO_VICTIM};
 use usipc::{FaultPlan, IpcError, WaitStrategy};
 use usipc_sim::{Explorer, Outcome};
 
 const HEARTBEAT: Duration = Duration::from_millis(30);
 const DEADLINE: Duration = Duration::from_millis(500);
+
+/// A BSW echo barrage on the deadline path with `plan` armed.
+fn run_faulted(clients: usize, msgs: u64, plan: FaultPlan) -> ThreadEchoResult {
+    run_thread_echo(&ThreadEcho {
+        call_path: CallPath::Deadline {
+            heartbeat: HEARTBEAT,
+            deadline: DEADLINE,
+            faults: Some(Arc::new(plan)),
+        },
+        ..ThreadEcho::new(Mechanism::UserLevel(WaitStrategy::Bsw), clients, msgs)
+    })
+}
 
 /// The Fig. 5 nightmare: the server dequeues a request and dies before
 /// replying. The message is gone — no retry can recover it — so the
@@ -31,8 +45,7 @@ const DEADLINE: Duration = Duration::from_millis(500);
 fn client_sees_peer_dead_when_server_dies_between_dequeue_and_reply() {
     // Server fault points: (before receive, after dequeue) per message.
     // at_op = 1 is the first "between dequeue and reply" window.
-    let plan = Arc::new(FaultPlan::kill(0, 1));
-    let r = run_native_fault_experiment(WaitStrategy::Bsw, 1, 4, plan, HEARTBEAT, DEADLINE);
+    let r = run_faulted(1, 4, FaultPlan::kill(0, 1));
 
     assert!(r.server.is_err(), "server was killed: {:?}", r.server);
     assert!(
@@ -54,8 +67,7 @@ fn client_sees_peer_dead_when_server_dies_between_dequeue_and_reply() {
 #[test]
 fn server_survives_dead_client_and_poisons_only_its_queue() {
     let victim_client = 3u32; // task number 1 + 3
-    let plan = Arc::new(FaultPlan::kill(1 + victim_client, 2));
-    let r = run_native_fault_experiment(WaitStrategy::Bsw, 8, 6, plan, HEARTBEAT, DEADLINE);
+    let r = run_faulted(8, 6, FaultPlan::kill(1 + victim_client, 2));
 
     let run = r.server.expect("server must survive a client death");
     assert!(run.reaped >= 1, "the dead client must be reaped");

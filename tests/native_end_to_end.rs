@@ -2,7 +2,7 @@
 //! traffic over every protocol on real threads.
 
 use std::sync::Arc;
-use usipc::harness::{run_native_experiment, Mechanism};
+use usipc::harness::{run_thread_echo, Mechanism, ThreadEcho};
 use usipc::{
     opcode, AsyncClient, BarrierRef, Channel, ChannelConfig, Message, NativeConfig, NativeOs,
     OsServices, WaitStrategy,
@@ -21,7 +21,7 @@ fn strategies() -> Vec<WaitStrategy> {
 #[test]
 fn every_strategy_echoes_correctly_native() {
     for s in strategies() {
-        let r = run_native_experiment(Mechanism::UserLevel(s), 1, 300);
+        let r = run_thread_echo(&ThreadEcho::new(Mechanism::UserLevel(s), 1, 300));
         assert_eq!(r.messages, 300, "{}", s.name());
         assert!(r.throughput > 0.0);
     }
@@ -30,14 +30,37 @@ fn every_strategy_echoes_correctly_native() {
 #[test]
 fn multi_client_native() {
     for s in [WaitStrategy::Bsw, WaitStrategy::Bsls { max_spin: 4 }] {
-        let r = run_native_experiment(Mechanism::UserLevel(s), 4, 100);
+        let r = run_thread_echo(&ThreadEcho::new(Mechanism::UserLevel(s), 4, 100));
         assert_eq!(r.messages, 400, "{}", s.name());
     }
 }
 
 #[test]
+fn thread_echo_elapsed_is_the_barrage_not_the_join_poll() {
+    // `elapsed` runs from barrier release to the last client's own
+    // completion and must not include the watchdog's join poll, whose 2 ms
+    // step would put a 20-message run at ~2.1 ms whatever its round trips
+    // summed to. The disconnect round trip is outside the samples, so
+    // allow 1 ms, and take the best of 3 runs against scheduler hiccups.
+    let mut seen = Vec::new();
+    for _ in 0..3 {
+        let r = run_thread_echo(&ThreadEcho::new(
+            Mechanism::UserLevel(WaitStrategy::Bsw),
+            1,
+            20,
+        ));
+        let sum = std::time::Duration::from_nanos(r.client_samples.iter().sum());
+        if r.elapsed <= sum + std::time::Duration::from_millis(1) {
+            return;
+        }
+        seen.push((r.elapsed, sum));
+    }
+    panic!("elapsed exceeded the summed round trips by over 1 ms in 3 runs: {seen:?}");
+}
+
+#[test]
 fn sysv_baseline_native() {
-    let r = run_native_experiment(Mechanism::SysV, 2, 150);
+    let r = run_thread_echo(&ThreadEcho::new(Mechanism::SysV, 2, 150));
     assert_eq!(r.messages, 300);
 }
 
@@ -183,7 +206,11 @@ fn raw_queue_interface_supports_custom_protocols() {
 fn handoff_hint_degrades_gracefully_on_native() {
     // The native backend has no handoff syscall; HandoffBswy must still be
     // correct (it degrades to yields).
-    let r = run_native_experiment(Mechanism::UserLevel(WaitStrategy::HandoffBswy), 2, 150);
+    let r = run_thread_echo(&ThreadEcho::new(
+        Mechanism::UserLevel(WaitStrategy::HandoffBswy),
+        2,
+        150,
+    ));
     assert_eq!(r.messages, 300);
 }
 
@@ -201,14 +228,14 @@ fn compute_spins_for_roughly_the_requested_time() {
 fn throttled_server_serves_everyone_native() {
     // The §5 future-work server: correctness under real threads — every
     // message echoed, every client disconnected, nobody starved.
-    let r = run_native_experiment(
+    let r = run_thread_echo(&ThreadEcho::new(
         Mechanism::Throttled {
             max_spin: 4,
             wake_batch: 1,
         },
         3,
         100,
-    );
+    ));
     assert_eq!(r.messages, 300);
 }
 
